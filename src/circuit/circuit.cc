@@ -13,19 +13,22 @@ QuantumCircuit::QuantumCircuit(int num_qubits, std::string name)
 void
 QuantumCircuit::add(Gate g)
 {
-    require(int(g.qubits.size()) == gateArity(g.kind),
-            "QuantumCircuit::add: wrong operand count for " +
-                gateKindName(g.kind));
+    require(int(g.qubits.size()) == gateArity(g.kind), [&] {
+        return "QuantumCircuit::add: wrong operand count for " +
+               gateKindName(g.kind);
+    });
     for (size_t i = 0; i < g.qubits.size(); ++i) {
-        require(g.qubits[i] >= 0 && g.qubits[i] < num_qubits_,
-                "QuantumCircuit::add: qubit out of range in " +
-                    g.toString());
+        require(g.qubits[i] >= 0 && g.qubits[i] < num_qubits_, [&] {
+            return "QuantumCircuit::add: qubit out of range in " +
+                   g.toString();
+        });
         for (size_t j = i + 1; j < g.qubits.size(); ++j)
-            require(g.qubits[i] != g.qubits[j],
-                    "QuantumCircuit::add: duplicate operand in " +
-                        g.toString());
+            require(g.qubits[i] != g.qubits[j], [&] {
+                return "QuantumCircuit::add: duplicate operand in " +
+                       g.toString();
+            });
     }
-    gates_.push_back(std::move(g));
+    gates_.push_back(g);
 }
 
 int
@@ -55,7 +58,8 @@ QuantumCircuit::unitary() const
     la::CMatrix u = la::CMatrix::identity(size_t(1) << num_qubits_);
     for (const Gate &g : gates_) {
         la::CMatrix gm =
-            la::embed(gateMatrix(g), g.qubits, num_qubits_);
+            la::embed(gateMatrix(g), {g.qubits.begin(), g.qubits.end()},
+                      num_qubits_);
         u = gm * u;
     }
     return u;

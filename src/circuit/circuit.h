@@ -35,6 +35,9 @@ class QuantumCircuit
     /** Append a gate (validates qubit indices and arity). */
     void add(Gate g);
 
+    /** Make room for @p n gates, so the next appends do not allocate. */
+    void reserve(size_t n) { gates_.reserve(n); }
+
     /** @name Builder helpers
      *  @{ */
     void h(int q) { add({GateKind::H, {q}}); }

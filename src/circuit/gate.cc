@@ -150,8 +150,9 @@ CMatrix
 gateMatrix(const Gate &g)
 {
     auto p = [&](size_t i) {
-        require(i < g.params.size(),
-                "gateMatrix: missing parameter for " + g.toString());
+        require(i < g.params.size(), [&] {
+            return "gateMatrix: missing parameter for " + g.toString();
+        });
         return g.params[i];
     };
     switch (g.kind) {

@@ -17,8 +17,8 @@
 #define QZZ_CIRCUIT_GATE_H
 
 #include <string>
-#include <vector>
 
+#include "common/inline_vec.h"
 #include "linalg/matrix.h"
 
 namespace qzz::ckt {
@@ -55,16 +55,23 @@ enum class GateKind
     SWAP,
 };
 
-/** A gate instance: kind + qubit operands + real parameters. */
+/** A gate instance: kind + qubit operands + real parameters.
+ *
+ *  Operands are stored inline (every kind has arity <= 2 and at most
+ *  three parameters, for U3), so building, copying and appending a
+ *  gate never allocates. */
 struct Gate
 {
+    using Qubits = InlineVec<int, 2>;
+    using Params = InlineVec<double, 3>;
+
     GateKind kind = GateKind::I;
-    std::vector<int> qubits;
-    std::vector<double> params;
+    Qubits qubits;
+    Params params;
 
     Gate() = default;
-    Gate(GateKind k, std::vector<int> q, std::vector<double> p = {})
-        : kind(k), qubits(std::move(q)), params(std::move(p))
+    Gate(GateKind k, Qubits q, Params p = {})
+        : kind(k), qubits(q), params(p)
     {
     }
 
@@ -88,6 +95,9 @@ la::CMatrix gateMatrix(const Gate &g);
 
 /** Number of qubit operands a kind expects. */
 int gateArity(GateKind k);
+
+/** Last enumerator, for range checks on decoded kinds. */
+inline constexpr GateKind kLastGateKind = GateKind::SWAP;
 
 } // namespace qzz::ckt
 

@@ -15,6 +15,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 namespace qzz {
 
@@ -49,30 +50,27 @@ class InternalError : public std::logic_error
  */
 [[noreturn]] void panic(const std::string &msg);
 
-/** Check a user-facing precondition; fatal() with @p msg on failure. */
-inline void
-require(bool cond, const std::string &msg)
-{
-    if (!cond)
-        fatal(msg);
-}
-
-/** Check an internal invariant; panic() with @p msg on failure. */
-inline void
-ensure(bool cond, const std::string &msg)
-{
-    if (!cond)
-        panic(msg);
-}
-
-/** @name Literal-message overloads
- *  Checks called with string literals must not pay a std::string
- *  construction (a heap allocation for any message past the SSO
- *  limit) on the success path — the simulation kernels run a
- *  require() per call, millions of times per schedule.  These
- *  overloads defer the conversion to the failure branch.
+/** @name Checks
+ *  A check must cost nothing but its condition on the success path:
+ *  the gate builders run one per operand of every gate, and the
+ *  simulation kernels one per call, millions of times per schedule.
+ *  So a check takes either a string literal or a callable that
+ *  builds the message, and the message is made only on failure.
+ *  There is deliberately no std::string overload: an eager
+ *  `"..." + x` argument does not compile, write
+ *  `[&] { return "..." + x; }` instead.
+ *
+ *  Keep the bodies plain (no branch hints): they inline into the
+ *  x86-64-v3 simulation kernels, where a hint was seen to move FMA
+ *  contraction and with it the last bits of simulated fidelities.
  *  @{
  */
+
+/** A callable that builds a failure message. */
+template <typename F>
+concept MessageBuilder = std::is_invocable_r_v<std::string, F &>;
+
+/** Check a user-facing precondition; fatal() with @p msg on failure. */
 inline void
 require(bool cond, const char *msg)
 {
@@ -80,11 +78,30 @@ require(bool cond, const char *msg)
         fatal(std::string(msg));
 }
 
+/** As above, with the message built by @p make_msg on failure only. */
+template <MessageBuilder F>
+inline void
+require(bool cond, F &&make_msg)
+{
+    if (!cond)
+        fatal(make_msg());
+}
+
+/** Check an internal invariant; panic() with @p msg on failure. */
 inline void
 ensure(bool cond, const char *msg)
 {
     if (!cond)
         panic(std::string(msg));
+}
+
+/** As above, with the message built by @p make_msg on failure only. */
+template <MessageBuilder F>
+inline void
+ensure(bool cond, F &&make_msg)
+{
+    if (!cond)
+        panic(make_msg());
 }
 /** @} */
 

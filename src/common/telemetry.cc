@@ -279,8 +279,9 @@ MetricsRegistry::Family &
 MetricsRegistry::familyFor(const std::string &name, const std::string &help,
                            MetricKind kind)
 {
-    require(validMetricName(name),
-            "MetricsRegistry: invalid metric name \"" + name + "\"");
+    require(validMetricName(name), [&] {
+        return "MetricsRegistry: invalid metric name \"" + name + "\"";
+    });
     auto it = families_.find(name);
     if (it == families_.end()) {
         Family family;
@@ -288,9 +289,10 @@ MetricsRegistry::familyFor(const std::string &name, const std::string &help,
         family.help = help;
         it = families_.emplace(name, std::move(family)).first;
     } else {
-        require(it->second.kind == kind,
-                "MetricsRegistry: \"" + name + "\" already registered as " +
-                    kindName(it->second.kind));
+        require(it->second.kind == kind, [&] {
+            return "MetricsRegistry: \"" + name +
+                   "\" already registered as " + kindName(it->second.kind);
+        });
     }
     return it->second;
 }
@@ -333,9 +335,10 @@ MetricsRegistry::histogram(const std::string &name, const std::string &help,
     if (family.bounds.empty())
         family.bounds = buckets.bounds();
     else
-        require(family.bounds == buckets.bounds(),
-                "MetricsRegistry: \"" + name +
-                    "\" already registered with different buckets");
+        require(family.bounds == buckets.bounds(), [&] {
+            return "MetricsRegistry: \"" + name +
+                   "\" already registered with different buckets";
+        });
     Series &series = family.series[labelKey(labels)];
     if (!series.histogram) {
         series.labels = labels;

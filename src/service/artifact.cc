@@ -37,20 +37,24 @@ writeGate(std::ostream &os, const ckt::Gate &g)
         os << " " << p;
 }
 
-/** Reads the tokens produced by writeGate() after its "g" tag. */
+/** Reads the tokens produced by writeGate() after its "g" tag.
+ *  Schedule-layer gates never pass QuantumCircuit::add(), so the kind
+ *  and operand counts are validated here. */
 bool
 readGate(std::istream &is, ckt::Gate &g)
 {
     int kind = 0;
     size_t nq = 0, np = 0;
-    if (!(is >> kind) || !readCount(is, nq))
+    if (!(is >> kind) || kind < 0 || kind > int(ckt::kLastGateKind))
         return false;
     g.kind = ckt::GateKind(kind);
+    if (!(is >> nq) || nq != size_t(ckt::gateArity(g.kind)))
+        return false;
     g.qubits.resize(nq);
     for (int &q : g.qubits)
         if (!(is >> q))
             return false;
-    if (!readCount(is, np))
+    if (!(is >> np) || np > ckt::Gate::Params::capacity())
         return false;
     g.params.resize(np);
     for (double &p : g.params)

@@ -160,6 +160,7 @@ canonicalGateOrder(const ckt::QuantumCircuit &circuit)
     // depends only on the DAG.
     ckt::QuantumCircuit canonical(circuit.numQubits(),
                                   circuit.name());
+    canonical.reserve(circuit.size());
     ckt::DagFrontier frontier(circuit);
     const std::vector<ckt::Gate> &gates = circuit.gates();
     while (!frontier.done()) {

@@ -28,6 +28,26 @@ TEST(CircuitTest, ValidatesOperands)
     EXPECT_THROW(c.add(Gate(GateKind::CX, {0})), UserError);
 }
 
+TEST(CircuitTest, OperandErrorsNameTheGate)
+{
+    QuantumCircuit c(2);
+    auto message = [&](const Gate &g) -> std::string {
+        try {
+            c.add(g);
+        } catch (const UserError &e) {
+            return e.what();
+        }
+        return "";
+    };
+    EXPECT_EQ(message({GateKind::H, {5}}),
+              "QuantumCircuit::add: qubit out of range in H[5]");
+    EXPECT_EQ(message({GateKind::CP, {1, 1}, {0.5}}),
+              "QuantumCircuit::add: duplicate operand in CP(0.5)[1,1]");
+    EXPECT_EQ(message({GateKind::CX, {0}}),
+              "QuantumCircuit::add: wrong operand count for CX");
+    EXPECT_TRUE(c.empty());
+}
+
 TEST(CircuitTest, NativePredicate)
 {
     QuantumCircuit c(2);

@@ -1,0 +1,136 @@
+/**
+ * @file
+ * Allocation audit for the gate path.  Gate operands live inline and
+ * QuantumCircuit::add builds its error messages only on failure, so
+ * copying a gate and appending to a reserved circuit must not touch
+ * the heap.  This binary replaces the global operator new with a
+ * counting one (as bench/bench_sim_speed.cc does), which is why it is
+ * a test executable of its own.
+ */
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <vector>
+
+#include "circuit/circuit.h"
+
+namespace {
+std::atomic<uint64_t> g_alloc_count{0};
+std::atomic<bool> g_count_allocs{false};
+
+void *
+countedAlloc(std::size_t sz)
+{
+    if (g_count_allocs.load(std::memory_order_relaxed))
+        g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+    void *p = std::malloc(sz ? sz : 1);
+    if (!p)
+        throw std::bad_alloc();
+    return p;
+}
+
+/** Counts operator new calls between construction and count(). */
+class AllocCounter
+{
+  public:
+    AllocCounter()
+    {
+        g_alloc_count.store(0, std::memory_order_relaxed);
+        g_count_allocs.store(true, std::memory_order_relaxed);
+    }
+    ~AllocCounter() { g_count_allocs.store(false); }
+
+    uint64_t
+    count() const
+    {
+        g_count_allocs.store(false, std::memory_order_relaxed);
+        return g_alloc_count.load(std::memory_order_relaxed);
+    }
+};
+} // namespace
+
+void *
+operator new(std::size_t sz)
+{
+    return countedAlloc(sz);
+}
+
+void *
+operator new[](std::size_t sz)
+{
+    return countedAlloc(sz);
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+namespace qzz::ckt {
+namespace {
+
+TEST(GateAllocTest, CopyingAGateDoesNotAllocate)
+{
+    const std::vector<Gate> src = {
+        {GateKind::U3, {0}, {0.1, 0.2, 0.3}},
+        {GateKind::CP, {0, 1}, {0.5}},
+        {GateKind::CX, {1, 0}},
+    };
+    std::vector<Gate> copies;
+    copies.reserve(30);
+    Gate assigned;
+
+    const AllocCounter counter;
+    for (size_t i = 0; i < 30; ++i)
+        copies.push_back(src[i % src.size()]);
+    assigned = src[0];
+    EXPECT_EQ(counter.count(), 0u);
+
+    EXPECT_EQ(assigned.params, src[0].params);
+    EXPECT_EQ(copies[29].qubits, src[2].qubits);
+}
+
+TEST(GateAllocTest, AppendingToAReservedCircuitDoesNotAllocate)
+{
+    constexpr int kRounds = 200;
+    QuantumCircuit c(5, "audit");
+    c.reserve(size_t(kRounds) * 6);
+
+    const AllocCounter counter;
+    for (int i = 0; i < kRounds; ++i) {
+        const int a = i % 5, b = (i + 2) % 5;
+        c.h(a);
+        c.rz(b, 0.25 * i);
+        c.u3(a, 0.1, 0.2, 0.3);
+        c.cx(a, b);
+        c.cp(b, a, 0.5);
+        c.add({GateKind::RZX, {a, b}, {1.5707963267948966}});
+    }
+    EXPECT_EQ(counter.count(), 0u);
+    EXPECT_EQ(c.size(), size_t(kRounds) * 6);
+}
+
+} // namespace
+} // namespace qzz::ckt

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.h"
 #include "common/units.h"
 #include "linalg/expm.h"
 
@@ -159,6 +160,59 @@ TEST(GateTest, ToStringFormat)
 {
     Gate g(GateKind::CX, {2, 3});
     EXPECT_EQ(g.toString(), "CX[2,3]");
+}
+
+TEST(GateTest, EveryKindFitsInlineOperands)
+{
+    // A full-width gate of every kind fits the inline storage, and
+    // gateMatrix() never reads a parameter past its capacity (it would
+    // throw "missing parameter").
+    for (int k = 0; k <= int(kLastGateKind); ++k) {
+        Gate g;
+        g.kind = GateKind(k);
+        ASSERT_NE(gateKindName(g.kind), "?");
+        for (int q = 0; q < gateArity(g.kind); ++q)
+            g.qubits.push_back(q);
+        g.params.resize(Gate::Params::capacity());
+        const size_t dim = size_t(1) << g.qubits.size();
+        la::CMatrix m;
+        EXPECT_NO_THROW(m = gateMatrix(g)) << g.toString();
+        EXPECT_EQ(m.rows(), dim) << g.toString();
+    }
+}
+
+TEST(GateTest, OverflowingInlineOperandsIsAUserError)
+{
+    EXPECT_THROW(Gate(GateKind::CX, {0, 1, 2}), UserError);
+    EXPECT_THROW(Gate(GateKind::U3, {0}, {0.1, 0.2, 0.3, 0.4}), UserError);
+    Gate g(GateKind::CX, {0, 1});
+    EXPECT_THROW(g.qubits.push_back(2), UserError);
+    EXPECT_THROW(g.params.resize(4), UserError);
+    EXPECT_EQ(g.qubits.size(), 2u);
+    EXPECT_TRUE(g.params.empty());
+}
+
+TEST(GateTest, InlineOperandsBehaveLikeVectors)
+{
+    Gate::Params p;
+    EXPECT_TRUE(p.empty());
+    p.push_back(1.5);
+    p.resize(3);
+    EXPECT_EQ(p, (Gate::Params{1.5, 0.0, 0.0}));
+    p.resize(1);
+    p.resize(2); // regrown slots are value-initialized again
+    EXPECT_EQ(p, (Gate::Params{1.5, 0.0}));
+    EXPECT_FALSE(p == (Gate::Params{1.5}));
+
+    // Lexicographic, like std::vector: a prefix sorts first.
+    EXPECT_TRUE((Gate::Qubits{0}) < (Gate::Qubits{0, 1}));
+    EXPECT_TRUE((Gate::Qubits{0, 2}) < (Gate::Qubits{1}));
+    EXPECT_FALSE((Gate::Qubits{1, 0}) < (Gate::Qubits{1, 0}));
+
+    int sum = 0;
+    for (int q : Gate::Qubits{3, 4})
+        sum += q;
+    EXPECT_EQ(sum, 7);
 }
 
 } // namespace

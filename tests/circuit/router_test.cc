@@ -121,7 +121,7 @@ TEST(RouterTest, InitialLayoutRespected)
     // The emitted gate acts on physical {2, 1}.
     for (const Gate &g : r.circuit.gates())
         if (g.isTwoQubit()) {
-            EXPECT_EQ(g.qubits, (std::vector<int>{2, 1}));
+            EXPECT_EQ(g.qubits, (Gate::Qubits{2, 1}));
         }
 }
 

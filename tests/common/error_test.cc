@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace qzz {
 namespace {
 
@@ -29,6 +31,40 @@ TEST(ErrorTest, EnsureThrowsOnFalse)
 {
     EXPECT_THROW(ensure(false, "nope"), InternalError);
 }
+
+TEST(ErrorTest, MessageBuilderRunsOnlyOnFailure)
+{
+    int built = 0;
+    auto make = [&] {
+        ++built;
+        return std::string("built ") + std::to_string(built);
+    };
+    for (int i = 0; i < 100; ++i) {
+        require(true, make);
+        ensure(true, make);
+    }
+    EXPECT_EQ(built, 0);
+
+    try {
+        require(false, make);
+        FAIL() << "require did not throw";
+    } catch (const UserError &e) {
+        EXPECT_STREQ(e.what(), "built 1");
+    }
+    EXPECT_THROW(ensure(false, make), InternalError);
+    EXPECT_EQ(built, 2);
+}
+
+// A pre-built std::string message would be constructed on the success
+// path too, so the checks refuse it at compile time.
+template <typename Msg>
+concept RequireAccepts = requires(Msg m) { require(true, m); };
+template <typename Msg>
+concept EnsureAccepts = requires(Msg m) { ensure(true, m); };
+static_assert(!RequireAccepts<std::string>);
+static_assert(!EnsureAccepts<std::string>);
+static_assert(RequireAccepts<const char *>);
+static_assert(RequireAccepts<std::string (*)()>);
 
 TEST(ErrorTest, MessagePropagates)
 {

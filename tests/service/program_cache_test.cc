@@ -28,7 +28,9 @@ std::shared_ptr<const core::CompiledProgram>
 makeProgram(int tag)
 {
     core::CompiledProgram p;
-    p.native = ckt::QuantumCircuit(1, "p" + std::to_string(tag));
+    std::string name = "p";
+    name += std::to_string(tag);
+    p.native = ckt::QuantumCircuit(1, std::move(name));
     p.native.sx(0);
     core::Layer layer;
     layer.duration = double(tag);
