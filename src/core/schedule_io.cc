@@ -1,253 +1,87 @@
 #include "core/schedule_io.h"
 
-#include <cmath>
-
 #include "common/error.h"
 
 namespace qzz::core {
 
 namespace {
 
-/** Minimal JSON emitter: handles the fixed shapes we produce. */
-class JsonWriter
-{
-  public:
-    JsonWriter(std::ostream &os, bool pretty) : os_(os), pretty_(pretty)
-    {
-        os_.precision(12);
-    }
-
-    void
-    beginObject()
-    {
-        separate();
-        os_ << "{";
-        push();
-        just_opened_ = true;
-    }
-    void
-    endObject()
-    {
-        pop();
-        newline();
-        os_ << "}";
-        just_opened_ = false;
-    }
-    void
-    beginArray()
-    {
-        separate();
-        os_ << "[";
-        push();
-        just_opened_ = true;
-    }
-    void
-    endArray()
-    {
-        pop();
-        newline();
-        os_ << "]";
-        just_opened_ = false;
-    }
-
-    void
-    key(const std::string &k)
-    {
-        separate();
-        os_ << "\"" << k << "\":";
-        if (pretty_)
-            os_ << " ";
-        pending_value_ = true;
-    }
-
-    void
-    value(double v)
-    {
-        separate();
-        if (std::isfinite(v))
-            os_ << v;
-        else
-            os_ << "null";
-        just_opened_ = false;
-    }
-    void
-    value(int v)
-    {
-        separate();
-        os_ << v;
-        just_opened_ = false;
-    }
-    void
-    value(bool v)
-    {
-        separate();
-        os_ << (v ? "true" : "false");
-        just_opened_ = false;
-    }
-    void
-    value(const std::string &v)
-    {
-        separate();
-        os_ << "\"" << v << "\"";
-        just_opened_ = false;
-    }
-
-  private:
-    std::ostream &os_;
-    bool pretty_;
-    int depth_ = 0;
-    bool just_opened_ = true;
-    bool pending_value_ = false;
-
-    void
-    push()
-    {
-        ++depth_;
-    }
-    void
-    pop()
-    {
-        --depth_;
-    }
-    void
-    newline()
-    {
-        if (!pretty_)
-            return;
-        os_ << "\n";
-        for (int i = 0; i < depth_; ++i)
-            os_ << "  ";
-    }
-    void
-    separate()
-    {
-        if (pending_value_) {
-            pending_value_ = false;
-            return; // value follows its key on the same line
-        }
-        if (!just_opened_)
-            os_ << ",";
-        newline();
-        just_opened_ = false;
-    }
-};
-
 void
-writeChannel(JsonWriter &w, const char *name,
+writeChannel(json::Writer &w, const char *name,
              const pulse::WaveformPtr &wf, double duration,
              double sample_dt)
 {
     if (!wf)
         return;
-    w.key(name);
-    w.beginArray();
+    w.key(name).beginArray();
     for (double t = 0.0; t <= duration + 1e-9; t += sample_dt)
         w.value(wf->value(t));
     w.endArray();
 }
 
-/** Shared body of the two entry points; @p program adds the
+/** Shared body of the entry points; @p program adds the
  *  configuration fields when non-null. */
 void
 writeScheduleDocument(const Schedule &schedule,
                       const pulse::PulseLibrary &library,
-                      const CompiledProgram *program, std::ostream &os,
-                      const ScheduleIoOptions &opt)
+                      const CompiledProgram *program, json::Writer &w,
+                      double sample_dt)
 {
-    require(opt.sample_dt >= 0.0, "writeScheduleJson: bad sample_dt");
-    JsonWriter w(os, opt.pretty);
-    w.beginObject();
-    w.key("num_qubits");
-    w.value(schedule.num_qubits);
-    w.key("execution_time_ns");
-    w.value(schedule.executionTime());
-    w.key("pulse_library");
-    w.value(library.name());
+    require(sample_dt >= 0.0, "writeScheduleJson: bad sample_dt");
+    w.beginObject()
+        .field("num_qubits", schedule.num_qubits)
+        .field("execution_time_ns", schedule.executionTime())
+        .field("pulse_library", library.name());
     if (program != nullptr) {
-        w.key("pulse_method");
-        w.value(pulseMethodName(program->pulse_method));
-        w.key("sched_policy");
-        w.value(schedPolicyName(program->sched_policy));
-        w.key("calib_epoch");
-        w.value(double(program->calib_epoch));
+        w.field("pulse_method", pulseMethodName(program->pulse_method))
+            .field("sched_policy", schedPolicyName(program->sched_policy))
+            .field("calib_epoch", program->calib_epoch);
     }
 
-    w.key("layers");
-    w.beginArray();
+    w.key("layers").beginArray();
     for (const Layer &layer : schedule.layers) {
-        w.beginObject();
-        w.key("virtual");
-        w.value(layer.is_virtual);
-        w.key("duration_ns");
-        w.value(layer.duration);
+        w.beginObject()
+            .field("virtual", layer.is_virtual)
+            .field("duration_ns", layer.duration);
         if (!layer.is_virtual) {
-            w.key("nq");
-            w.value(layer.metrics.nq);
-            w.key("nc");
-            w.value(layer.metrics.nc);
-            w.key("side");
-            w.beginArray();
-            for (int s : layer.side)
-                w.value(s);
-            w.endArray();
+            w.field("nq", layer.metrics.nq).field("nc", layer.metrics.nc);
+            w.key("side").array(layer.side);
         }
-        w.key("gates");
-        w.beginArray();
+        w.key("gates").beginArray();
         for (const ScheduledGate &sg : layer.gates) {
-            w.beginObject();
-            w.key("kind");
-            w.value(ckt::gateKindName(sg.gate.kind));
-            w.key("qubits");
-            w.beginArray();
-            for (int q : sg.gate.qubits)
-                w.value(q);
-            w.endArray();
-            if (!sg.gate.params.empty()) {
-                w.key("params");
-                w.beginArray();
-                for (double p : sg.gate.params)
-                    w.value(p);
-                w.endArray();
-            }
-            w.key("supplemented");
-            w.value(sg.supplemented);
-            w.endObject();
+            w.beginObject().field("kind", ckt::gateKindName(sg.gate.kind));
+            w.key("qubits").array(sg.gate.qubits);
+            if (!sg.gate.params.empty())
+                w.key("params").array(sg.gate.params);
+            w.field("supplemented", sg.supplemented).endObject();
         }
-        w.endArray();
-        w.endObject();
+        w.endArray().endObject();
     }
     w.endArray();
 
-    if (opt.sample_dt > 0.0) {
-        w.key("pulses");
-        w.beginObject();
+    if (sample_dt > 0.0) {
+        w.key("pulses").beginObject();
         for (pulse::PulseGate g :
              {pulse::PulseGate::SX, pulse::PulseGate::Identity,
               pulse::PulseGate::RZX}) {
             if (!library.has(g))
                 continue;
             const pulse::PulseProgram &p = library.get(g);
-            w.key(pulse::pulseGateName(g));
-            w.beginObject();
-            w.key("duration_ns");
-            w.value(p.duration);
-            w.key("two_qubit");
-            w.value(p.two_qubit);
-            w.key("channels");
-            w.beginObject();
-            writeChannel(w, "x_a", p.x_a, p.duration, opt.sample_dt);
-            writeChannel(w, "y_a", p.y_a, p.duration, opt.sample_dt);
-            writeChannel(w, "x_b", p.x_b, p.duration, opt.sample_dt);
-            writeChannel(w, "y_b", p.y_b, p.duration, opt.sample_dt);
-            writeChannel(w, "coupling", p.coupling, p.duration,
-                         opt.sample_dt);
-            w.endObject();
-            w.endObject();
+            w.key(pulse::pulseGateName(g))
+                .beginObject()
+                .field("duration_ns", p.duration)
+                .field("two_qubit", p.two_qubit);
+            w.key("channels").beginObject();
+            writeChannel(w, "x_a", p.x_a, p.duration, sample_dt);
+            writeChannel(w, "y_a", p.y_a, p.duration, sample_dt);
+            writeChannel(w, "x_b", p.x_b, p.duration, sample_dt);
+            writeChannel(w, "y_b", p.y_b, p.duration, sample_dt);
+            writeChannel(w, "coupling", p.coupling, p.duration, sample_dt);
+            w.endObject().endObject();
         }
         w.endObject();
     }
     w.endObject();
-    os << "\n";
 }
 
 } // namespace
@@ -257,17 +91,30 @@ writeScheduleJson(const Schedule &schedule,
                   const pulse::PulseLibrary &library, std::ostream &os,
                   const ScheduleIoOptions &opt)
 {
-    writeScheduleDocument(schedule, library, nullptr, os, opt);
+    std::string out;
+    json::Writer w(out, opt.pretty);
+    writeScheduleDocument(schedule, library, nullptr, w, opt.sample_dt);
+    os << out << '\n';
+}
+
+void
+writeCompiledProgramJson(const CompiledProgram &program, json::Writer &w,
+                         double sample_dt)
+{
+    require(program.library != nullptr,
+            "writeCompiledProgramJson: program has no pulse library");
+    writeScheduleDocument(program.schedule, *program.library, &program, w,
+                          sample_dt);
 }
 
 void
 writeCompiledProgramJson(const CompiledProgram &program,
                          std::ostream &os, const ScheduleIoOptions &opt)
 {
-    require(program.library != nullptr,
-            "writeCompiledProgramJson: program has no pulse library");
-    writeScheduleDocument(program.schedule, *program.library, &program,
-                          os, opt);
+    std::string out;
+    json::Writer w(out, opt.pretty);
+    writeCompiledProgramJson(program, w, opt.sample_dt);
+    os << out << '\n';
 }
 
 } // namespace qzz::core

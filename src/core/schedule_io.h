@@ -11,6 +11,7 @@
 
 #include <ostream>
 
+#include "common/json.h"
 #include "core/framework.h"
 #include "core/schedule.h"
 #include "pulse/library.h"
@@ -22,12 +23,15 @@ struct ScheduleIoOptions
 {
     /** Waveform sample spacing in ns (0 = omit samples). */
     double sample_dt = 1.0;
-    /** Pretty-print with newlines and indentation. */
+    /** Pretty-print with newlines and indentation (the ostream entry
+     *  points only; the json::Writer one follows its writer). */
     bool pretty = true;
 };
 
 /**
- * Write @p schedule as JSON.
+ * Write @p schedule as one JSON document (common/json.h: numbers in
+ * shortest round-trip form, infinities as "inf"/"-inf") followed by
+ * a newline.
  *
  * Layout:
  * {
@@ -57,6 +61,11 @@ void writeScheduleJson(const Schedule &schedule,
 void writeCompiledProgramJson(const CompiledProgram &program,
                               std::ostream &os,
                               const ScheduleIoOptions &opt = {});
+
+/** The same document as one value of @p w (no newline), so a caller
+ *  can embed it in a larger document without a copy. */
+void writeCompiledProgramJson(const CompiledProgram &program,
+                              json::Writer &w, double sample_dt);
 
 } // namespace qzz::core
 

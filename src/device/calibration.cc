@@ -1,9 +1,7 @@
 #include "device/calibration.h"
 
 #include <atomic>
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -13,13 +11,12 @@
 #include <thread>
 
 #include "common/error.h"
+#include "common/json.h"
 #include "device/device.h"
 
 namespace qzz::dev {
 
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /** Positive Gaussian jitter: v * (1 + rel * N(0,1)), truncated into
  *  [0.05 v, 4 v] like the coupling sampler; infinities pass through. */
@@ -239,309 +236,10 @@ Calibration::meanZz() const
 
 namespace {
 
-/** max_digits10 for exact binary64 round-trips; infinities (not
- *  representable in JSON numbers) become the strings "inf"/"-inf". */
-void
-writeDouble(std::ostream &os, double v)
-{
-    if (std::isinf(v)) {
-        os << (v > 0.0 ? "\"inf\"" : "\"-inf\"");
-        return;
-    }
-    os << v;
-}
-
-void
-writeDoubleArray(std::ostream &os, const std::vector<double> &v)
-{
-    os << "[";
-    for (size_t i = 0; i < v.size(); ++i) {
-        if (i)
-            os << ",";
-        writeDouble(os, v[i]);
-    }
-    os << "]";
-}
-
-void
-writeIntArray(std::ostream &os, const std::vector<int> &v)
-{
-    os << "[";
-    for (size_t i = 0; i < v.size(); ++i) {
-        if (i)
-            os << ",";
-        os << v[i];
-    }
-    os << "]";
-}
-
-std::string
-escapeId(const std::string &s)
-{
-    static const char hex[] = "0123456789abcdef";
-    std::string out;
-    for (char c : s) {
-        const auto u = static_cast<unsigned char>(c);
-        if (u < 0x20) {
-            // Control characters would break the one-line-JSON
-            // invariant (and the strict parser); \u-escape them so
-            // any free-form id round-trips.
-            out += "\\u00";
-            out.push_back(hex[u >> 4]);
-            out.push_back(hex[u & 0xf]);
-            continue;
-        }
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
-/**
- * Minimal parser for the calibration document: one flat JSON object
- * whose values are numbers, strings, or arrays of numbers/strings.
- * Strict about what it handles, with byte offsets in error messages.
- */
-class CalibParser
-{
-  public:
-    explicit CalibParser(std::string_view text) : text_(text) {}
-
-    bool
-    fail(const std::string &why)
-    {
-        if (error_.empty())
-            error_ = why + " at byte " + std::to_string(pos_);
-        return false;
-    }
-
-    const std::string &error() const { return error_; }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    bool
-    consume(char c)
-    {
-        skipWs();
-        if (pos_ >= text_.size() || text_[pos_] != c)
-            return fail(std::string("expected '") + c + "'");
-        ++pos_;
-        return true;
-    }
-
-    bool
-    peek(char c)
-    {
-        skipWs();
-        return pos_ < text_.size() && text_[pos_] == c;
-    }
-
-    bool
-    atEnd()
-    {
-        skipWs();
-        return pos_ >= text_.size();
-    }
-
-    bool
-    parseString(std::string &out)
-    {
-        if (!consume('"'))
-            return false;
-        out.clear();
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_++];
-            if (c == '"')
-                return true;
-            if (static_cast<unsigned char>(c) < 0x20)
-                return fail("control character in string");
-            if (c == '\\') {
-                if (pos_ >= text_.size())
-                    return fail("dangling escape");
-                const char esc = text_[pos_++];
-                if (esc == 'u') {
-                    // Only the \u00XX byte escapes the writer emits.
-                    unsigned value = 0;
-                    if (pos_ + 4 > text_.size())
-                        return fail("truncated \\u escape");
-                    for (int i = 0; i < 4; ++i) {
-                        const char h = text_[pos_++];
-                        value <<= 4;
-                        if (h >= '0' && h <= '9')
-                            value |= unsigned(h - '0');
-                        else if (h >= 'a' && h <= 'f')
-                            value |= unsigned(h - 'a' + 10);
-                        else if (h >= 'A' && h <= 'F')
-                            value |= unsigned(h - 'A' + 10);
-                        else
-                            return fail("bad \\u escape digit");
-                    }
-                    if (value > 0xff)
-                        return fail("unsupported \\u escape");
-                    out.push_back(char(value));
-                } else if (esc == '"' || esc == '\\') {
-                    out.push_back(esc);
-                } else {
-                    return fail("unsupported escape");
-                }
-            } else {
-                out.push_back(c);
-            }
-        }
-        return fail("unterminated string");
-    }
-
-    /** A JSON number, or the quoted strings "inf" / "-inf". */
-    bool
-    parseDouble(double &out)
-    {
-        skipWs();
-        if (peek('"')) {
-            std::string s;
-            if (!parseString(s))
-                return false;
-            if (s == "inf") {
-                out = kInf;
-                return true;
-            }
-            if (s == "-inf") {
-                out = -kInf;
-                return true;
-            }
-            return fail("expected \"inf\" or \"-inf\"");
-        }
-        // Copy the number token before strtod: the view need not be
-        // NUL-terminated, and strtod must never scan past its end.
-        size_t len = 0;
-        while (pos_ + len < text_.size()) {
-            const char c = text_[pos_ + len];
-            if ((c >= '0' && c <= '9') || c == '-' || c == '+' ||
-                c == '.' || c == 'e' || c == 'E')
-                ++len;
-            else
-                break;
-        }
-        const std::string token(text_.substr(pos_, len));
-        char *end = nullptr;
-        out = std::strtod(token.c_str(), &end);
-        if (end != token.c_str() + token.size() || len == 0)
-            return fail("expected a number");
-        if (!std::isfinite(out))
-            return fail("number out of range");
-        pos_ += len;
-        return true;
-    }
-
-    bool
-    parseInt(int64_t &out)
-    {
-        double v = 0.0;
-        if (!parseDouble(v))
-            return false;
-        out = int64_t(v);
-        if (double(out) != v)
-            return fail("expected an integer");
-        return true;
-    }
-
-    bool
-    parseDoubleArray(std::vector<double> &out)
-    {
-        if (!consume('['))
-            return false;
-        out.clear();
-        if (peek(']'))
-            return consume(']');
-        for (;;) {
-            double v = 0.0;
-            if (!parseDouble(v))
-                return false;
-            out.push_back(v);
-            if (peek(']'))
-                return consume(']');
-            if (!consume(','))
-                return false;
-        }
-    }
-
-    bool
-    parseIntArray(std::vector<int> &out)
-    {
-        if (!consume('['))
-            return false;
-        out.clear();
-        if (peek(']'))
-            return consume(']');
-        for (;;) {
-            int64_t v = 0;
-            if (!parseInt(v))
-                return false;
-            if (v < 0 || v > std::numeric_limits<int>::max())
-                return fail("integer out of range");
-            out.push_back(int(v));
-            if (peek(']'))
-                return consume(']');
-            if (!consume(','))
-                return false;
-        }
-    }
-
-  private:
-    std::string_view text_;
-    size_t pos_ = 0;
-    std::string error_;
-};
-
-} // namespace
-
-void
-writeCalibrationJson(const Calibration &calib, std::ostream &os)
-{
-    os.precision(17); // max_digits10: exact binary64 round-trip
-    os << "{\"qzzcalib\":" << kCalibrationVersion;
-    os << ",\"id\":\"" << escapeId(calib.id) << "\"";
-    os << ",\"epoch\":" << calib.epoch;
-    os << ",\"num_qubits\":" << calib.num_qubits;
-    os << ",\"coupling_mean\":";
-    writeDouble(os, calib.coupling_mean);
-    os << ",\"coupling_stddev\":";
-    writeDouble(os, calib.coupling_stddev);
-    os << ",\"t1\":";
-    writeDoubleArray(os, calib.t1);
-    os << ",\"t2\":";
-    writeDoubleArray(os, calib.t2);
-    os << ",\"anharmonicity\":";
-    writeDoubleArray(os, calib.anharmonicity);
-    os << ",\"edge_u\":";
-    writeIntArray(os, calib.edge_u);
-    os << ",\"edge_v\":";
-    writeIntArray(os, calib.edge_v);
-    os << ",\"zz\":";
-    writeDoubleArray(os, calib.zz);
-    os << "}\n";
-}
-
-std::string
-calibrationJsonString(const Calibration &calib)
-{
-    std::ostringstream os;
-    writeCalibrationJson(calib, os);
-    return os.str();
-}
-
-namespace {
-
 /** Every key of the calibration document, in writer order.  Each is
- *  mandatory and must appear exactly once: a truncated file (missing
- *  trailing keys) or a spliced one (duplicate keys) fails the parse
- *  with a byte offset instead of yielding a partial snapshot. */
+ *  mandatory and unique (the codec rejects duplicates): a truncated
+ *  file or a spliced one fails the parse instead of yielding a
+ *  partial snapshot. */
 constexpr const char *kCalibKeys[] = {
     "qzzcalib", "id",     "epoch",         "num_qubits",
     "coupling_mean",      "coupling_stddev",
@@ -551,91 +249,142 @@ constexpr const char *kCalibKeys[] = {
 constexpr size_t kNumCalibKeys =
     sizeof(kCalibKeys) / sizeof(kCalibKeys[0]);
 
+/** Decode an array element by element with @p read (an optional
+ *  per element); false when it is no array or an element is bad. */
+template <typename T, typename Read>
+bool
+readArray(const json::Value &v, std::vector<T> &out, Read read)
+{
+    const json::Array *items = v.asArray();
+    if (items == nullptr)
+        return false;
+    out.clear();
+    for (const json::Value &item : *items) {
+        const auto x = read(item);
+        if (!x)
+            return false;
+        out.push_back(T(*x));
+    }
+    return true;
+}
+
+/** Decode one member into @p c; false when its value is malformed. */
+bool
+readMember(const std::string &key, const json::Value &v, Calibration &c)
+{
+    if (key == "id") {
+        const std::string *s = v.asString();
+        if (s != nullptr)
+            c.id = *s;
+        return s != nullptr;
+    }
+    if (key == "epoch") {
+        const auto epoch = v.asInt(0);
+        c.epoch = uint64_t(epoch.value_or(0));
+        return epoch.has_value();
+    }
+    if (key == "num_qubits") {
+        const auto n = v.asInt(0, int64_t(1) << 20);
+        c.num_qubits = int(n.value_or(0));
+        return n.has_value();
+    }
+    if (key == "coupling_mean" || key == "coupling_stddev") {
+        const auto d = v.asDouble();
+        if (d)
+            (key == "coupling_mean" ? c.coupling_mean
+                                    : c.coupling_stddev) = *d;
+        return d.has_value();
+    }
+    const auto index = [](const json::Value &x) {
+        return x.asInt(0, std::numeric_limits<int>::max());
+    };
+    const auto real = [](const json::Value &x) { return x.asDouble(); };
+    if (key == "edge_u")
+        return readArray(v, c.edge_u, index);
+    if (key == "edge_v")
+        return readArray(v, c.edge_v, index);
+    if (key == "t1")
+        return readArray(v, c.t1, real);
+    if (key == "t2")
+        return readArray(v, c.t2, real);
+    if (key == "anharmonicity")
+        return readArray(v, c.anharmonicity, real);
+    return readArray(v, c.zz, real);
+}
+
 } // namespace
+
+std::string
+calibrationJsonString(const Calibration &calib)
+{
+    std::string out;
+    json::Writer w(out);
+    w.beginObject()
+        .field("qzzcalib", kCalibrationVersion)
+        .field("id", calib.id)
+        .field("epoch", calib.epoch)
+        .field("num_qubits", calib.num_qubits)
+        .field("coupling_mean", calib.coupling_mean)
+        .field("coupling_stddev", calib.coupling_stddev);
+    w.key("t1").array(calib.t1);
+    w.key("t2").array(calib.t2);
+    w.key("anharmonicity").array(calib.anharmonicity);
+    w.key("edge_u").array(calib.edge_u);
+    w.key("edge_v").array(calib.edge_v);
+    w.key("zz").array(calib.zz);
+    w.endObject();
+    out += '\n';
+    return out;
+}
+
+void
+writeCalibrationJson(const Calibration &calib, std::ostream &os)
+{
+    os << calibrationJsonString(calib);
+}
 
 std::optional<Calibration>
 readCalibrationJson(std::string_view text, std::string *error)
 {
-    CalibParser p(text);
-    Calibration c;
-    bool seen[kNumCalibKeys] = {};
-    auto fail = [&](const std::string &why) -> std::optional<Calibration> {
+    const auto fail = [error](std::string why) -> std::optional<Calibration> {
         if (error)
-            *error = why.empty() ? p.error() : why;
+            *error = std::move(why);
         return std::nullopt;
     };
+    std::string why;
+    const std::optional<json::Value> doc = json::parse(text, &why);
+    if (!doc)
+        return fail(std::move(why));
+    const json::Object *members = doc->asObject();
+    if (members == nullptr)
+        return fail("expected an object");
 
-    if (!p.consume('{'))
-        return fail("");
-    if (!p.peek('}')) {
-        for (;;) {
-            std::string key;
-            if (!p.parseString(key) || !p.consume(':'))
-                return fail("");
-            size_t idx = kNumCalibKeys;
-            for (size_t i = 0; i < kNumCalibKeys; ++i) {
-                if (key == kCalibKeys[i]) {
-                    idx = i;
-                    break;
-                }
-            }
-            if (idx == kNumCalibKeys)
-                return fail("unknown key '" + key + "'");
-            if (seen[idx]) {
-                p.fail("duplicate key '" + key + "'");
-                return fail("");
-            }
-            seen[idx] = true;
-            bool ok = true;
-            if (key == "qzzcalib") {
-                int64_t version = 0;
-                ok = p.parseInt(version);
-                if (ok && version != kCalibrationVersion)
-                    return fail("unsupported calibration version " +
-                                std::to_string(version));
-            } else if (key == "id") {
-                ok = p.parseString(c.id);
-            } else if (key == "epoch") {
-                int64_t epoch = 0;
-                ok = p.parseInt(epoch) && epoch >= 0;
-                c.epoch = uint64_t(epoch);
-            } else if (key == "num_qubits") {
-                int64_t n = 0;
-                ok = p.parseInt(n) && n >= 0 && n <= (int64_t(1) << 20);
-                c.num_qubits = int(n);
-            } else if (key == "coupling_mean") {
-                ok = p.parseDouble(c.coupling_mean);
-            } else if (key == "coupling_stddev") {
-                ok = p.parseDouble(c.coupling_stddev);
-            } else if (key == "t1") {
-                ok = p.parseDoubleArray(c.t1);
-            } else if (key == "t2") {
-                ok = p.parseDoubleArray(c.t2);
-            } else if (key == "anharmonicity") {
-                ok = p.parseDoubleArray(c.anharmonicity);
-            } else if (key == "edge_u") {
-                ok = p.parseIntArray(c.edge_u);
-            } else if (key == "edge_v") {
-                ok = p.parseIntArray(c.edge_v);
-            } else if (key == "zz") {
-                ok = p.parseDoubleArray(c.zz);
-            }
-            if (!ok)
-                return fail("");
-            if (p.peek('}'))
-                break;
-            if (!p.consume(','))
-                return fail("");
+    Calibration c;
+    bool seen[kNumCalibKeys] = {};
+    for (const auto &[key, value] : *members) {
+        size_t idx = 0;
+        while (idx < kNumCalibKeys && key != kCalibKeys[idx])
+            ++idx;
+        if (idx == kNumCalibKeys)
+            return fail("unknown key '" + key + "'");
+        seen[idx] = true;
+        if (key == "qzzcalib") {
+            const auto version = value.asInt();
+            if (!version)
+                return fail("bad value for 'qzzcalib'");
+            if (*version != kCalibrationVersion)
+                return fail("unsupported calibration version " +
+                            std::to_string(*version));
+        } else if (!readMember(key, value, c)) {
+            return fail("bad value for '" + key + "'");
         }
     }
-    if (!p.consume('}'))
-        return fail("");
-    if (!p.atEnd())
-        return fail("trailing content after calibration document");
     for (size_t i = 0; i < kNumCalibKeys; ++i) {
         if (!seen[i]) {
-            p.fail("missing key '" + std::string(kCalibKeys[i]) + "'");
-            return fail("");
+            // The object closes at the last non-blank byte.
+            return fail("missing key '" + std::string(kCalibKeys[i]) +
+                        "' at byte offset " +
+                        std::to_string(text.find_last_not_of(" \t\r\n")));
         }
     }
 

@@ -13,8 +13,8 @@
  * one uniform parameter tuple.
  *
  * Snapshots round-trip losslessly through a one-line JSON document
- * (every double written with max_digits10 precision; infinities
- * encoded as the strings "inf"/"-inf"), and persist with the same
+ * (common/json.h: every double in its shortest round-trip form,
+ * infinities as the strings "inf"/"-inf"), and persist with the same
  * write-private-temp + rename convention as the pulse calibration
  * store, so concurrent writers can never leave a torn file behind.
  * The document grammar, the infinity encoding, and the epoch/id

@@ -40,6 +40,7 @@
 #define QZZ_QZZ_H
 
 #include "common/error.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "common/table.h"

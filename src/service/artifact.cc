@@ -153,32 +153,46 @@ programArtifactString(const core::CompiledProgram &program)
     return os.str();
 }
 
-std::optional<core::CompiledProgram>
-readProgramArtifact(std::istream &is, bool attach_library)
+namespace {
+
+/** Reads the four header lines into @p program's configuration. */
+bool
+readHeader(std::istream &is, core::CompiledProgram &program)
 {
     int version = 0;
     if (!expectTag(is, "qzzprog") || !(is >> version) ||
         version != kArtifactVersion)
-        return std::nullopt;
+        return false;
 
     std::string method_name, policy_name;
     if (!expectTag(is, "pulse_method") || !(is >> method_name))
-        return std::nullopt;
+        return false;
     if (!expectTag(is, "sched_policy") || !(is >> policy_name))
-        return std::nullopt;
+        return false;
     const auto method = core::pulseMethodFromName(method_name);
     const auto policy = core::schedPolicyFromName(policy_name);
     if (!method || !policy)
-        return std::nullopt;
-
-    uint64_t calib_epoch = 0;
-    if (!expectTag(is, "calib_epoch") || !(is >> calib_epoch))
-        return std::nullopt;
-
-    core::CompiledProgram program;
+        return false;
     program.pulse_method = *method;
     program.sched_policy = *policy;
-    program.calib_epoch = calib_epoch;
+    return expectTag(is, "calib_epoch") && bool(is >> program.calib_epoch);
+}
+
+} // namespace
+
+uint64_t
+readArtifactCalibEpoch(std::istream &is)
+{
+    core::CompiledProgram program;
+    return readHeader(is, program) ? program.calib_epoch : 0;
+}
+
+std::optional<core::CompiledProgram>
+readProgramArtifact(std::istream &is, bool attach_library)
+{
+    core::CompiledProgram program;
+    if (!readHeader(is, program))
+        return std::nullopt;
 
     int native_qubits = 0;
     std::string native_name;

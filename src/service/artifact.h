@@ -48,6 +48,10 @@ std::string programArtifactString(const core::CompiledProgram &program);
 std::optional<core::CompiledProgram>
 readProgramArtifact(std::istream &is, bool attach_library = true);
 
+/** The calib_epoch an artifact's header records, reading only the
+ *  header; 0 when the header is unreadable or of another version. */
+uint64_t readArtifactCalibEpoch(std::istream &is);
+
 } // namespace qzz::svc
 
 #endif // QZZ_SERVICE_ARTIFACT_H

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <system_error>
 #include <unordered_map>
 
@@ -11,6 +10,8 @@
 #include <sys/file.h>
 #include <unistd.h>
 
+#include "common/json.h"
+#include "service/artifact.h"
 #include "service/jsonl.h"
 
 namespace qzz::svc {
@@ -63,29 +64,26 @@ fileMtimeMs(const fs::path &path)
 std::string
 manifestLine(const ManifestEntry &e)
 {
-    std::ostringstream os;
-    os << "{\"fp\":\"" << e.fp.hex() << "\",\"bytes\":" << e.bytes
-       << ",\"mtime_ms\":" << e.mtime_ms
-       << ",\"calib_epoch\":" << e.calib_epoch << "}";
-    return os.str();
+    std::string line;
+    json::Writer(line)
+        .beginObject()
+        .field("fp", e.fp.hex())
+        .field("bytes", e.bytes)
+        .field("mtime_ms", e.mtime_ms)
+        .field("calib_epoch", e.calib_epoch)
+        .endObject();
+    return line + '\n';
 }
 
-/** Read just the calib_epoch header field of an artifact file (the
- *  fourth line; see artifact.cc), for adopting files the manifest
- *  does not list.  0 when unreadable. */
-uint64_t
-readArtifactEpoch(const fs::path &path)
+std::string
+manifestHeader()
 {
-    std::ifstream in(path);
     std::string line;
-    for (int i = 0; i < 4 && std::getline(in, line); ++i) {
-        std::istringstream ls(line);
-        std::string tag;
-        uint64_t epoch = 0;
-        if ((ls >> tag) && tag == "calib_epoch" && (ls >> epoch))
-            return epoch;
-    }
-    return 0;
+    json::Writer(line)
+        .beginObject()
+        .field("qzz_manifest", kManifestVersion)
+        .endObject();
+    return line + '\n';
 }
 
 } // namespace
@@ -132,8 +130,8 @@ appendManifestEntry(const std::string &dir, const ManifestEntry &e)
     if (!out)
         return false;
     if (fresh)
-        out << "{\"qzz_manifest\":" << kManifestVersion << "}\n";
-    out << manifestLine(e) << "\n";
+        out << manifestHeader();
+    out << manifestLine(e);
     out.flush();
     return out.good();
 }
@@ -272,7 +270,9 @@ ArtifactGc::run()
         if (inserted) {
             ++stats.adopted;
             slot->second.entry.fp = *fp;
-            slot->second.entry.calib_epoch = readArtifactEpoch(path);
+            std::ifstream artifact(path);
+            slot->second.entry.calib_epoch =
+                readArtifactCalibEpoch(artifact);
         }
         slot->second.entry.bytes = bytes;
         slot->second.entry.mtime_ms = fileMtimeMs(path);
@@ -353,9 +353,9 @@ ArtifactGc::run()
     {
         std::ofstream out(tmp);
         if (out) {
-            out << "{\"qzz_manifest\":" << kManifestVersion << "}\n";
+            out << manifestHeader();
             for (const ManifestEntry *e : kept)
-                out << manifestLine(*e) << "\n";
+                out << manifestLine(*e);
             out.flush();
             ok = out.good();
         }

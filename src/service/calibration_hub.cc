@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
-#include <sstream>
 
+#include "common/json.h"
 #include "service/artifact_gc.h"
-#include "service/jsonl.h"
 #include "service/program_cache.h"
 
 namespace qzz::svc {
@@ -235,14 +234,17 @@ void
 CalibrationHub::notify(const CalibrationUpdate &update,
                        const std::string &id, const std::string &source)
 {
-    std::ostringstream os;
-    os << "{\"event\":\"calib_epoch\",\"device\":\""
-       << jsonEscape(update.device_key)
-       << "\",\"epoch\":" << update.epoch << ",\"calib_id\":\""
-       << jsonEscape(id)
-       << "\",\"entries_invalidated\":" << update.entries_invalidated
-       << ",\"source\":\"" << jsonEscape(source) << "\"}\n";
-    const std::string line = os.str();
+    std::string line;
+    json::Writer(line)
+        .beginObject()
+        .field("event", "calib_epoch")
+        .field("device", update.device_key)
+        .field("epoch", update.epoch)
+        .field("calib_id", id)
+        .field("entries_invalidated", update.entries_invalidated)
+        .field("source", source)
+        .endObject();
+    line += '\n';
     std::lock_guard<std::mutex> lock(subs_mu_);
     for (auto &[token, sink] : subscribers_)
         sink(line);

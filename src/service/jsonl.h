@@ -1,61 +1,58 @@
 /**
  * @file
- * Minimal JSON-lines request parsing for the service front-end.
+ * JSON-lines request records for the service front-end.
  *
  * The compile_server protocol is one flat JSON object per line with
- * string / number / boolean / null values — no nesting is needed to
- * describe a compilation request, so none is accepted.  The parser is
- * strict about what it does handle (escapes, exponents, type errors
- * carry positions) and rejects everything else with a clear message,
- * instead of silently mis-reading a malformed request.
+ * string / number / boolean / null values: no nesting is needed to
+ * describe a compilation request, so none is accepted.  Parsing is
+ * the strict common/json.h reader plus that one shape check; its
+ * errors carry byte offsets.
  */
 
 #ifndef QZZ_SERVICE_JSONL_H
 #define QZZ_SERVICE_JSONL_H
 
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <variant>
+
+#include "common/json.h"
 
 namespace qzz::svc {
 
-/** One scalar field value of a request object. */
-using JsonScalar = std::variant<std::nullptr_t, bool, double, std::string>;
-
-/** A parsed flat JSON object (ordered for deterministic output). */
+/** A parsed flat JSON object (members in line order). */
 class JsonObject
 {
   public:
     /**
      * Parse one JSON-lines record.  On failure returns nullopt and,
-     * when @p error is non-null, stores a human-readable description
-     * including the byte offset.
+     * when @p error is non-null, stores a human-readable description.
      */
     static std::optional<JsonObject> parse(std::string_view line,
                                            std::string *error = nullptr);
 
-    bool has(const std::string &key) const;
+    bool has(std::string_view key) const { return doc_.find(key) != nullptr; }
 
     /** Typed accessors; nullopt when absent or differently typed. */
-    std::optional<std::string> getString(const std::string &key) const;
-    std::optional<double> getNumber(const std::string &key) const;
-    std::optional<bool> getBool(const std::string &key) const;
-    /** getNumber() rounded; nullopt when absent or not integral. */
-    std::optional<int64_t> getInt(const std::string &key) const;
+    std::optional<std::string> getString(std::string_view key) const;
+    std::optional<double> getNumber(std::string_view key) const;
+    std::optional<bool> getBool(std::string_view key) const;
+    /** An integral number within int64; nullopt otherwise. */
+    std::optional<int64_t> getInt(std::string_view key) const;
 
-    const std::map<std::string, JsonScalar> &fields() const
-    {
-        return fields_;
-    }
+    const json::Object &fields() const { return *doc_.asObject(); }
 
   private:
-    std::map<std::string, JsonScalar> fields_;
+    /** Always an object of scalars. */
+    json::Value doc_ = json::Object{};
 };
 
 /** Escape @p s for embedding in a JSON string literal. */
-std::string jsonEscape(std::string_view s);
+inline std::string
+jsonEscape(std::string_view s)
+{
+    return json::escape(s);
+}
 
 } // namespace qzz::svc
 

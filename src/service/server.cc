@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -13,6 +14,7 @@
 
 #include "circuit/benchmarks.h"
 #include "common/error.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "core/pulse_opt.h"
@@ -160,7 +162,25 @@ Session::handleRequest(const JsonObject &obj, uint64_t lineno)
         }
         request.options.sched = *policy;
     }
-    request.request.priority = int(obj.getInt("priority").value_or(0));
+    // Both bounded before the narrowing: an out-of-range value must
+    // produce an error line, not a wrapped priority or an overflowing
+    // deadline.
+    constexpr int64_t kMaxDeadlineMs = 86'400'000;
+    const auto priority = obj.getInt("priority");
+    if (obj.has("priority") &&
+        (!priority || *priority < std::numeric_limits<int>::min() ||
+         *priority > std::numeric_limits<int>::max())) {
+        enqueueError(id, "bad 'priority' (integer in int range)");
+        return;
+    }
+    const auto deadline = obj.getNumber("deadline_ms");
+    if (obj.has("deadline_ms") &&
+        (!deadline || !(*deadline >= 0.0 && *deadline <= kMaxDeadlineMs))) {
+        enqueueError(id, "bad 'deadline_ms' (number in [0, " +
+                             std::to_string(kMaxDeadlineMs) + "])");
+        return;
+    }
+    request.request.priority = int(priority.value_or(0));
     request.request.seed = seed;
     request.request.use_cache = obj.getBool("use_cache").value_or(true);
     // Every request carries a trace id — client-supplied for
@@ -170,9 +190,9 @@ Session::handleRequest(const JsonObject &obj, uint64_t lineno)
         obj.getString("trace_id").value_or(std::string());
     if (request.request.trace_id.empty())
         request.request.trace_id = TraceLog::mintTraceId();
-    if (const auto deadline = obj.getNumber("deadline_ms"))
-        request.request.deadline = std::chrono::milliseconds(
-            int64_t(std::max(0.0, *deadline)));
+    if (deadline)
+        request.request.deadline =
+            std::chrono::milliseconds(int64_t(*deadline));
 
     Pending pending;
     pending.id = id;
@@ -301,36 +321,28 @@ Session::respond(const Pending &pending, const ServiceResult &result)
 {
     const double respond_start = unixNowMs();
     const auto t0 = std::chrono::steady_clock::now();
-    std::ostringstream os;
-    os.precision(12);
-    os << "{\"id\":\"" << jsonEscape(pending.id)
-       << "\",\"ok\":" << (result.ok() ? "true" : "false")
-       << ",\"outcome\":\"" << outcomeName(result.outcome)
-       << "\",\"benchmark\":\"" << jsonEscape(pending.label)
-       << "\",\"fingerprint\":\"" << result.fingerprint.hex()
-       << "\",\"cache_hit\":"
-       << (result.outcome == Outcome::CacheHit ? "true" : "false")
-       << ",\"queue_ms\":" << result.queue_ms
-       << ",\"compile_ms\":" << result.compile_ms;
+    std::string payload;
+    json::Writer w(payload);
+    w.beginObject()
+        .field("id", pending.id)
+        .field("ok", result.ok())
+        .field("outcome", outcomeName(result.outcome))
+        .field("benchmark", pending.label)
+        .field("fingerprint", result.fingerprint.hex())
+        .field("cache_hit", result.outcome == Outcome::CacheHit)
+        .field("queue_ms", result.queue_ms)
+        .field("compile_ms", result.compile_ms);
     if (!result.trace_id.empty())
-        os << ",\"trace_id\":\"" << jsonEscape(result.trace_id)
-           << "\"";
+        w.field("trace_id", result.trace_id);
     if (result.ok()) {
-        std::ostringstream program;
-        core::ScheduleIoOptions io;
-        io.pretty = false;
-        io.sample_dt = server_.config().sample_dt;
-        core::writeCompiledProgramJson(*result.program, program, io);
-        std::string doc = program.str();
-        while (!doc.empty() && doc.back() == '\n')
-            doc.pop_back();
-        os << ",\"program\":" << doc;
+        w.key("program");
+        core::writeCompiledProgramJson(*result.program, w,
+                                       server_.config().sample_dt);
     } else if (!result.status.message.empty()) {
-        os << ",\"error\":\"" << jsonEscape(result.status.message)
-           << "\"";
+        w.field("error", result.status.message);
     }
-    os << "}\n";
-    const std::string payload = os.str();
+    w.endObject();
+    payload += '\n';
     conn_.write(payload);
     // The final leaf of the request's span tree: serialization plus
     // the write back to the client, parented on the service's root
@@ -356,9 +368,14 @@ Session::respond(const Pending &pending, const ServiceResult &result)
 void
 Session::printError(const std::string &id, const std::string &message)
 {
-    conn_.write("{\"id\":\"" + jsonEscape(id) +
-                "\",\"ok\":false,\"error\":\"" + jsonEscape(message) +
-                "\"}\n");
+    std::string line;
+    json::Writer(line)
+        .beginObject()
+        .field("id", id)
+        .field("ok", false)
+        .field("error", message)
+        .endObject();
+    conn_.write(line + '\n');
 }
 
 void
@@ -367,70 +384,51 @@ Session::respondMetrics(const JsonObject &obj)
     // {"format":"prometheus"} returns the same exposition body the
     // scrape endpoint serves, as one escaped JSON string field (the
     // protocol stays strictly line-oriented).
+    std::string line;
+    json::Writer w(line);
+    w.beginObject().field("metrics", true);
     if (obj.getString("format").value_or("json") == "prometheus") {
-        enqueueRaw("{\"metrics\":true,\"format\":\"prometheus\","
-                   "\"exposition\":\"" +
-                   jsonEscape(server_.renderPrometheus()) + "\"}\n");
+        w.field("format", "prometheus")
+            .field("exposition", server_.renderPrometheus())
+            .endObject();
+        enqueueRaw(line + '\n');
         return;
     }
     const MetricsSnapshot m = server_.service().metrics();
     const CalibrationHubStats h = server_.hub().stats();
-    std::ostringstream os;
-    os.precision(12);
-    os << "{\"metrics\":true,\"submitted\":" << m.submitted
-       << ",\"completed\":" << m.completed << ",\"failed\":" << m.failed
-       << ",\"cancelled\":" << m.cancelled << ",\"expired\":" << m.expired
-       << ",\"rejected\":" << m.rejected
-       << ",\"cache_hits\":" << m.cache_hits
-       << ",\"cache_misses\":" << m.cache_misses
-       << ",\"coalesced\":" << m.coalesced
-       << ",\"cache_hit_rate\":" << m.cache_hit_rate
-       << ",\"queue_depth\":" << m.queue_depth
-       << ",\"workers\":" << m.workers
-       << ",\"throughput_per_s\":" << m.throughput_per_s
-       << ",\"latency_p50_ms\":" << m.latency_p50_ms
-       << ",\"latency_p95_ms\":" << m.latency_p95_ms
-       << ",\"latency_p99_ms\":" << m.latency_p99_ms
-       << ",\"warm_boosted\":" << m.warm_boosted
-       << ",\"cache_entries\":" << m.cache_stats.entries
-       << ",\"cache_entry_bytes\":" << m.cache_stats.entry_bytes
-       << ",\"disk_writes\":" << m.cache_stats.disk_writes
-       << ",\"disk_bytes_written\":" << m.cache_stats.disk_bytes_written
-       << ",\"calib_epochs_applied\":" << h.epochs_applied
-       << ",\"calib_updates_rejected\":" << h.updates_rejected
-       << ",\"calib_entries_invalidated\":" << h.entries_invalidated
-       << ",\"calib_watch_loads\":" << h.watch_loads
-       << ",\"calib_watch_errors\":" << h.watch_errors
-       << ",\"calib_watch_latency_ms\":" << h.last_watch_latency_ms
-       << ",\"calib_current\":{";
-    for (size_t i = 0; i < h.current.size(); ++i) {
-        if (i)
-            os << ",";
-        os << "\"" << jsonEscape(h.current[i].first)
-           << "\":" << h.current[i].second;
-    }
-    os << "}}\n";
-    enqueueRaw(os.str());
+    w.field("submitted", m.submitted)
+        .field("completed", m.completed)
+        .field("failed", m.failed)
+        .field("cancelled", m.cancelled)
+        .field("expired", m.expired)
+        .field("rejected", m.rejected)
+        .field("cache_hits", m.cache_hits)
+        .field("cache_misses", m.cache_misses)
+        .field("coalesced", m.coalesced)
+        .field("cache_hit_rate", m.cache_hit_rate)
+        .field("queue_depth", m.queue_depth)
+        .field("workers", m.workers)
+        .field("throughput_per_s", m.throughput_per_s)
+        .field("latency_p50_ms", m.latency_p50_ms)
+        .field("latency_p95_ms", m.latency_p95_ms)
+        .field("latency_p99_ms", m.latency_p99_ms)
+        .field("warm_boosted", m.warm_boosted)
+        .field("cache_entries", m.cache_stats.entries)
+        .field("cache_entry_bytes", m.cache_stats.entry_bytes)
+        .field("disk_writes", m.cache_stats.disk_writes)
+        .field("disk_bytes_written", m.cache_stats.disk_bytes_written)
+        .field("calib_epochs_applied", h.epochs_applied)
+        .field("calib_updates_rejected", h.updates_rejected)
+        .field("calib_entries_invalidated", h.entries_invalidated)
+        .field("calib_watch_loads", h.watch_loads)
+        .field("calib_watch_errors", h.watch_errors)
+        .field("calib_watch_latency_ms", h.last_watch_latency_ms);
+    w.key("calib_current").beginObject();
+    for (const auto &[device, epoch] : h.current)
+        w.field(device, epoch);
+    w.endObject().endObject();
+    enqueueRaw(line + '\n');
 }
-
-namespace {
-
-std::string
-jsonStringArray(const std::vector<std::string> &names)
-{
-    std::string out = "[";
-    for (size_t i = 0; i < names.size(); ++i) {
-        if (i)
-            out += ',';
-        out += '"';
-        out += jsonEscape(names[i]);
-        out += '"';
-    }
-    out += ']';
-    return out;
-}
-
-} // namespace
 
 void
 Session::respondHello(const JsonObject &obj)
@@ -448,25 +446,27 @@ Session::respondHello(const JsonObject &obj)
             unsubscribeHub();
         }
     }
-    std::ostringstream os;
-    os << "{\"hello\":true,\"protocol_version\":" << kProtocolVersion
-       << ",\"fingerprint_version\":" << kFingerprintVersion
-       << ",\"artifact_version\":" << kArtifactVersion
-       << ",\"manifest_version\":" << kManifestVersion
-       << ",\"benchmarks\":"
-       << jsonStringArray(ckt::benchmarkFamilyNames())
-       << ",\"pulse_methods\":"
-       << jsonStringArray(core::pulseMethodNames())
-       << ",\"sched_policies\":"
-       << jsonStringArray(core::schedPolicyNames())
-       << ",\"topologies\":[\"grid\",\"line\",\"ring\",\"heavyhex\","
-          "\"trigrid\"]"
-       << ",\"commands\":[\"hello\",\"metrics\",\"gc\",\"calibrate\","
-          "\"quit\"]"
-       << ",\"events\":[\"calib_epoch\"]"
-       << ",\"calib_events\":" << (subscribed_ ? "true" : "false")
-       << "}\n";
-    enqueueRaw(os.str());
+    static constexpr const char *kTopologies[] = {"grid", "line", "ring",
+                                                  "heavyhex", "trigrid"};
+    static constexpr const char *kCommands[] = {"hello", "metrics", "gc",
+                                                "calibrate", "quit"};
+    static constexpr const char *kEvents[] = {"calib_epoch"};
+    std::string line;
+    json::Writer w(line);
+    w.beginObject()
+        .field("hello", true)
+        .field("protocol_version", kProtocolVersion)
+        .field("fingerprint_version", kFingerprintVersion)
+        .field("artifact_version", kArtifactVersion)
+        .field("manifest_version", kManifestVersion);
+    w.key("benchmarks").array(ckt::benchmarkFamilyNames());
+    w.key("pulse_methods").array(core::pulseMethodNames());
+    w.key("sched_policies").array(core::schedPolicyNames());
+    w.key("topologies").array(kTopologies);
+    w.key("commands").array(kCommands);
+    w.key("events").array(kEvents);
+    w.field("calib_events", subscribed_).endObject();
+    enqueueRaw(line + '\n');
 }
 
 void
@@ -478,27 +478,38 @@ Session::respondGc()
         return;
     }
     const ArtifactGcStats s = gc->run();
-    std::ostringstream os;
-    os << "{\"gc\":true,\"enabled\":true,\"scanned\":" << s.scanned
-       << ",\"adopted\":" << s.adopted
-       << ",\"dropped_lines\":" << s.dropped_lines
-       << ",\"evicted\":" << s.evicted
-       << ",\"evicted_age\":" << s.evicted_age
-       << ",\"evicted_epoch\":" << s.evicted_epoch
-       << ",\"evicted_capacity\":" << s.evicted_capacity
-       << ",\"bytes_before\":" << s.bytes_before
-       << ",\"bytes_after\":" << s.bytes_after
-       << ",\"capacity_bytes\":" << gc->config().capacity_bytes
-       << ",\"passes\":" << gc->passes() << "}\n";
-    enqueueRaw(os.str());
+    std::string line;
+    json::Writer(line)
+        .beginObject()
+        .field("gc", true)
+        .field("enabled", true)
+        .field("scanned", s.scanned)
+        .field("adopted", s.adopted)
+        .field("dropped_lines", s.dropped_lines)
+        .field("evicted", s.evicted)
+        .field("evicted_age", s.evicted_age)
+        .field("evicted_epoch", s.evicted_epoch)
+        .field("evicted_capacity", s.evicted_capacity)
+        .field("bytes_before", s.bytes_before)
+        .field("bytes_after", s.bytes_after)
+        .field("capacity_bytes", gc->config().capacity_bytes)
+        .field("passes", gc->passes())
+        .endObject();
+    enqueueRaw(line + '\n');
 }
 
 void
 Session::respondCalibrate(const JsonObject &obj)
 {
     const auto fail = [this](const std::string &message) {
-        enqueueRaw("{\"calibrate\":true,\"applied\":false,\"error\":\"" +
-                   jsonEscape(message) + "\"}\n");
+        std::string line;
+        json::Writer(line)
+            .beginObject()
+            .field("calibrate", true)
+            .field("applied", false)
+            .field("error", message)
+            .endObject();
+        enqueueRaw(line + '\n');
     };
     // The protocol is flat JSON lines, so the snapshot document rides
     // as an escaped string field rather than a nested object.
@@ -526,17 +537,20 @@ Session::respondCalibrate(const JsonObject &obj)
 
     const CalibrationUpdate u = server_.hub().apply(
         std::move(topo), device_seed, std::move(*calib), "calibrate");
-    std::ostringstream os;
-    os << "{\"calibrate\":true,\"applied\":"
-       << (u.applied ? "true" : "false") << ",\"device\":\""
-       << jsonEscape(u.device_key) << "\",\"epoch\":" << u.epoch
-       << ",\"entries_invalidated\":" << u.entries_invalidated
-       << ",\"gc_evicted\":" << u.gc_evicted
-       << ",\"gc_evicted_epoch\":" << u.gc_evicted_epoch;
+    std::string line;
+    json::Writer w(line);
+    w.beginObject()
+        .field("calibrate", true)
+        .field("applied", u.applied)
+        .field("device", u.device_key)
+        .field("epoch", u.epoch)
+        .field("entries_invalidated", u.entries_invalidated)
+        .field("gc_evicted", u.gc_evicted)
+        .field("gc_evicted_epoch", u.gc_evicted_epoch);
     if (!u.applied)
-        os << ",\"error\":\"" << jsonEscape(u.error) << "\"";
-    os << "}\n";
-    enqueueRaw(os.str());
+        w.field("error", u.error);
+    w.endObject();
+    enqueueRaw(line + '\n');
 }
 
 // ---------------------------------------------------------------------------

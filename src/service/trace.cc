@@ -8,7 +8,7 @@
 #include <system_error>
 
 #include "common/error.h"
-#include "service/jsonl.h"
+#include "common/json.h"
 
 namespace qzz::svc {
 
@@ -47,10 +47,10 @@ formatMs(double ms)
 std::string
 renderTraceSpan(const TraceSpan &span)
 {
-    std::string out = "{\"trace_id\":\"" + jsonEscape(span.trace_id) +
+    std::string out = "{\"trace_id\":\"" + json::escape(span.trace_id) +
                       "\",\"span_id\":" + std::to_string(span.span_id) +
                       ",\"parent_id\":" + std::to_string(span.parent_id) +
-                      ",\"name\":\"" + jsonEscape(span.name) +
+                      ",\"name\":\"" + json::escape(span.name) +
                       "\",\"start_ms\":" + formatMs(span.start_unix_ms) +
                       ",\"dur_ms\":" + formatMs(span.duration_ms);
     if (!span.attrs.empty()) {
@@ -61,9 +61,9 @@ renderTraceSpan(const TraceSpan &span)
                 out += ',';
             first = false;
             out += '"';
-            out += jsonEscape(k);
+            json::appendEscaped(out, k);
             out += "\":\"";
-            out += jsonEscape(v);
+            json::appendEscaped(out, v);
             out += '"';
         }
         out += '}';

@@ -259,6 +259,61 @@ TEST(CalibrationTest, JsonRejectsDuplicateAndMissingKeys)
     EXPECT_NE(error.find("at byte"), std::string::npos) << error;
 }
 
+TEST(CalibrationTest, JsonRejectsOutOfRangeIntegers)
+{
+    // Range-checked before any double-to-integer conversion: 1e300
+    // is an error, never an undefined cast.
+    Rng rng(6);
+    const std::string text = calibrationJsonString(
+        Calibration::sampled(grid23(), DeviceParams{}, rng));
+    for (const char *key : {"\"epoch\":", "\"num_qubits\":"}) {
+        std::string bad = text;
+        const size_t at = bad.find(key) + std::string(key).size();
+        bad.replace(at, bad.find(',', at) - at, "1e300");
+        std::string error;
+        EXPECT_FALSE(readCalibrationJson(bad, &error).has_value()) << bad;
+        EXPECT_NE(error.find("bad value for"), std::string::npos) << error;
+    }
+    std::string error;
+    std::string bad = text;
+    bad.replace(bad.find("\"edge_u\":[") + 10, 1, "-1");
+    EXPECT_FALSE(readCalibrationJson(bad, &error).has_value());
+    EXPECT_NE(error.find("bad value for 'edge_u'"), std::string::npos)
+        << error;
+}
+
+TEST(CalibrationTest, JsonMutantsAreRejectedOrValid)
+{
+    // Seeded flips, truncations and insertions: each mutant is either
+    // a snapshot that validates or an error, never a crash.
+    Rng rng(8);
+    const std::string text = calibrationJsonString(
+        Calibration::sampled(grid23(), DeviceParams{}, rng));
+    std::mt19937_64 mutate(99);
+    static const char kAlphabet[] = "{}[],:\"\\0123456789.e-inf \x01";
+    for (int i = 0; i < 2000; ++i) {
+        std::string doc = text;
+        const size_t at = mutate() % doc.size();
+        const char c = kAlphabet[mutate() % (sizeof kAlphabet - 1)];
+        switch (mutate() % 3) {
+        case 0:
+            doc[at] = c;
+            break;
+        case 1:
+            doc.resize(at);
+            break;
+        default:
+            doc.insert(doc.begin() + ptrdiff_t(at), c);
+        }
+        std::string error;
+        const auto calib = readCalibrationJson(doc, &error);
+        if (calib)
+            EXPECT_NO_THROW(calib->validate());
+        else
+            EXPECT_FALSE(error.empty()) << doc;
+    }
+}
+
 TEST(CalibrationTest, FileLoadRejectsTruncatedFile)
 {
     Rng rng(29);

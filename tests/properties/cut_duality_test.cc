@@ -20,6 +20,14 @@ struct TopoCase
     graph::Topology (*make)();
 };
 
+// Without a printer gtest lists the raw bytes of the two pointers,
+// which vary with the load address, so the test IDs changed per build.
+void
+PrintTo(const TopoCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 graph::Topology
 makeGrid34()
 {

@@ -102,5 +102,26 @@ TEST(ArtifactTest, ParamsAboveInlineCapacityAreRejected)
     EXPECT_FALSE(decodes(withLayerGate("g 0 1 0 " + params + " 0")));
 }
 
+TEST(ArtifactTest, CalibEpochReadsBackFromTheHeaderAlone)
+{
+    core::CompiledProgram p = makeProgram();
+    p.calib_epoch = 1234567;
+    std::istringstream in(programArtifactString(p));
+    EXPECT_EQ(readArtifactCalibEpoch(in), 1234567u);
+
+    const auto epochOf = [](const std::string &text) {
+        std::istringstream is(text);
+        return readArtifactCalibEpoch(is);
+    };
+    std::string text = programArtifactString(p);
+    EXPECT_EQ(epochOf(text.substr(0, text.find("calib_epoch"))), 0u);
+    text.replace(text.find("calib_epoch"), 11, "calib_epoc");
+    EXPECT_EQ(epochOf(text), 0u);
+    EXPECT_EQ(epochOf("qzzprog 1\npulse_method Gaussian\n"
+                      "sched_policy ParSched\ncalib_epoch 9\n"),
+              0u); // another version
+    EXPECT_EQ(epochOf(""), 0u);
+}
+
 } // namespace
 } // namespace qzz::svc

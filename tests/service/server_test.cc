@@ -116,6 +116,48 @@ TEST(ServerSessionTest, ErrorLinesAreByteExact)
               "'frobnicate'\"}");
 }
 
+TEST(ServerSessionTest, DeadlineAndPriorityAreBoundedBeforeConversion)
+{
+    // 1e999 is out of double range (a parse error naming the field);
+    // 1e17 ms would overflow the deadline's ms -> ns conversion and
+    // 2^40 the int priority.  Each is an error line, not a request.
+    const auto [out, quit] = runTranscript(
+        "{\"id\":\"d1\",\"benchmark\":\"QFT\",\"qubits\":4,"
+        "\"deadline_ms\":1e999}\n"
+        "{\"id\":\"d2\",\"benchmark\":\"QFT\",\"qubits\":4,"
+        "\"deadline_ms\":1e17}\n"
+        "{\"id\":\"d3\",\"benchmark\":\"QFT\",\"qubits\":4,"
+        "\"deadline_ms\":-1}\n"
+        "{\"id\":\"p1\",\"benchmark\":\"QFT\",\"qubits\":4,"
+        "\"priority\":1099511627776}\n"
+        "{\"id\":\"p2\",\"benchmark\":\"QFT\",\"qubits\":4,"
+        "\"priority\":\"high\"}\n");
+    ASSERT_EQ(out.size(), 5u);
+    EXPECT_EQ(out[0],
+              "{\"id\":\"1\",\"ok\":false,\"error\":\"parse error: "
+              "number out of range in 'deadline_ms' at byte offset 54\"}");
+    const std::string bad_deadline =
+        "\",\"ok\":false,\"error\":\"bad 'deadline_ms' (number in "
+        "[0, 86400000])\"}";
+    EXPECT_EQ(out[1], "{\"id\":\"d2" + bad_deadline);
+    EXPECT_EQ(out[2], "{\"id\":\"d3" + bad_deadline);
+    const std::string bad_priority =
+        "\",\"ok\":false,\"error\":\"bad 'priority' (integer in int "
+        "range)\"}";
+    EXPECT_EQ(out[3], "{\"id\":\"p1" + bad_priority);
+    EXPECT_EQ(out[4], "{\"id\":\"p2" + bad_priority);
+}
+
+TEST(ServerSessionTest, InRangeDeadlineAndPriorityAreServed)
+{
+    const auto [out, quit] = runTranscript(
+        "{\"id\":\"a\",\"benchmark\":\"QFT\",\"qubits\":3,"
+        "\"deadline_ms\":86400000,\"priority\":-2147483648}\n");
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_TRUE(startsWith(out[0], "{\"id\":\"a\",\"ok\":true,"))
+        << out[0];
+}
+
 TEST(ServerSessionTest, ParseErrorsUseLineNumberIds)
 {
     const auto [out, quit] = runTranscript("\n"
