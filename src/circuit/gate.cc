@@ -95,6 +95,15 @@ gateKindName(GateKind k)
     return "?";
 }
 
+std::optional<GateKind>
+gateKindFromName(std::string_view name)
+{
+    for (int k = 0; k <= int(kLastGateKind); ++k)
+        if (gateKindName(GateKind(k)) == name)
+            return GateKind(k);
+    return std::nullopt;
+}
+
 int
 gateArity(GateKind k)
 {

@@ -16,7 +16,9 @@
 #ifndef QZZ_CIRCUIT_GATE_H
 #define QZZ_CIRCUIT_GATE_H
 
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/inline_vec.h"
 #include "linalg/matrix.h"
@@ -89,6 +91,10 @@ struct Gate
 
 /** Name of a gate kind. */
 std::string gateKindName(GateKind k);
+
+/** The kind gateKindName() names @p name; nullopt for any other
+ *  string. */
+std::optional<GateKind> gateKindFromName(std::string_view name);
 
 /** Unitary matrix of a gate (2x2 or 4x4). */
 la::CMatrix gateMatrix(const Gate &g);

@@ -31,26 +31,28 @@ isDigit(char c)
     return c >= '0' && c <= '9';
 }
 
-/** Recursive-descent reader over one document. */
-class Reader
+/** The integer @p v in [lo, hi]; nullopt when it has a fractional
+ *  part or lies outside the range. */
+std::optional<int64_t>
+integral(double v, int64_t lo, int64_t hi)
+{
+    // 2^63 is exactly representable, so the half-open test is exact;
+    // it runs before the cast, which would be undefined out of range.
+    if (v != std::trunc(v) ||
+        !(v >= -9223372036854775808.0 && v < 9223372036854775808.0))
+        return std::nullopt;
+    const auto i = int64_t(v);
+    if (i < lo || i > hi)
+        return std::nullopt;
+    return i;
+}
+
+/** Token scanning shared by the tree reader and Cursor: the position,
+ *  the first failure, and the scalar lexers. */
+class Lexer
 {
   public:
-    explicit Reader(std::string_view text) : text_(text) {}
-
-    bool
-    document(Value &out)
-    {
-        if (text_.size() > kMaxDocumentBytes) {
-            pos_ = kMaxDocumentBytes;
-            return fail("document longer than " +
-                        std::to_string(kMaxDocumentBytes) + " bytes");
-        }
-        skipSpace();
-        if (!value(out, 0))
-            return false;
-        skipSpace();
-        return pos_ == text_.size() || fail("trailing content");
-    }
+    explicit Lexer(std::string_view text) : text_(text) {}
 
     std::string
     error() const
@@ -60,7 +62,16 @@ class Reader
         return what_ + in + " at byte offset " + std::to_string(at_);
     }
 
-  private:
+    bool
+    fits(size_t max_bytes)
+    {
+        if (text_.size() <= max_bytes)
+            return true;
+        pos_ = max_bytes;
+        return fail("document longer than " + std::to_string(max_bytes) +
+                    " bytes");
+    }
+
     bool
     fail(std::string what)
     {
@@ -99,37 +110,7 @@ class Reader
     }
 
     bool
-    value(Value &out, int depth)
-    {
-        const char c = peek();
-        if (c == '{' || c == '[') {
-            if (depth == kMaxDepth)
-                return fail("nesting deeper than " +
-                            std::to_string(kMaxDepth));
-            return c == '{' ? object(out, depth + 1) : array(out, depth + 1);
-        }
-        if (c == '"') {
-            std::string s;
-            if (!string(s))
-                return false;
-            out = Value(std::move(s));
-            return true;
-        }
-        if (c == 't' || c == 'f' || c == 'n') {
-            const std::string_view word = c == 't'   ? "true"
-                                          : c == 'f' ? "false"
-                                                     : "null";
-            if (text_.substr(pos_, word.size()) != word)
-                return fail("malformed literal");
-            pos_ += word.size();
-            out = c == 'n' ? Value() : Value(c == 't');
-            return true;
-        }
-        return number(out);
-    }
-
-    bool
-    number(Value &out)
+    number(double &out)
     {
         const size_t start = pos_;
         consume('-');
@@ -146,14 +127,12 @@ class Reader
         // The grammar above is a subset of from_chars' own, so the
         // only failure left is a magnitude that rounds to infinity or
         // to zero: refused rather than silently changed.
-        double v = 0.0;
         const char *end = text_.data() + pos_;
-        const auto r = std::from_chars(text_.data() + start, end, v);
+        const auto r = std::from_chars(text_.data() + start, end, out);
         if (r.ec != std::errc() || r.ptr != end) {
             pos_ = start;
             return fail("number out of range");
         }
-        out = Value(v);
         return true;
     }
 
@@ -201,6 +180,67 @@ class Reader
                 return fail("unsupported escape");
             }
         }
+    }
+
+    std::string_view text_;
+    size_t pos_ = 0;
+    std::string what_;
+    size_t at_ = 0;
+    /** Key of the innermost member whose value failed. */
+    std::string context_;
+};
+
+/** Recursive-descent reader of one document into a Value tree. */
+class Reader : public Lexer
+{
+  public:
+    using Lexer::Lexer;
+
+    bool
+    document(Value &out, size_t max_bytes)
+    {
+        if (!fits(max_bytes))
+            return false;
+        skipSpace();
+        if (!value(out, 0))
+            return false;
+        skipSpace();
+        return pos_ == text_.size() || fail("trailing content");
+    }
+
+  private:
+    bool
+    value(Value &out, int depth)
+    {
+        const char c = peek();
+        if (c == '{' || c == '[') {
+            if (depth == kMaxDepth)
+                return fail("nesting deeper than " +
+                            std::to_string(kMaxDepth));
+            return c == '{' ? object(out, depth + 1) : array(out, depth + 1);
+        }
+        if (c == '"') {
+            std::string s;
+            if (!string(s))
+                return false;
+            out = Value(std::move(s));
+            return true;
+        }
+        if (c == 't' || c == 'f' || c == 'n') {
+            const std::string_view word = c == 't'   ? "true"
+                                          : c == 'f' ? "false"
+                                                     : "null";
+            if (text_.substr(pos_, word.size()) != word)
+                return fail("malformed literal");
+            pos_ += word.size();
+            out = c == 'n' ? Value() : Value(c == 't');
+            return true;
+        }
+        double v = 0.0;
+        if (!number(v))
+            return false;
+        out = Value(v);
+        return true;
     }
 
     bool
@@ -271,13 +311,6 @@ class Reader
         out = Value(std::move(members));
         return true;
     }
-
-    std::string_view text_;
-    size_t pos_ = 0;
-    std::string what_;
-    size_t at_ = 0;
-    /** Key of the innermost member whose value failed. */
-    std::string context_;
 };
 
 } // namespace
@@ -296,15 +329,7 @@ std::optional<int64_t>
 Value::asInt(int64_t lo, int64_t hi) const
 {
     const double *v = asNumber();
-    // 2^63 is exactly representable, so the half-open test is exact;
-    // it runs before the cast, which would be undefined out of range.
-    if (v == nullptr || *v != std::trunc(*v) ||
-        !(*v >= -9223372036854775808.0 && *v < 9223372036854775808.0))
-        return std::nullopt;
-    const auto i = int64_t(*v);
-    if (i < lo || i > hi)
-        return std::nullopt;
-    return i;
+    return v != nullptr ? integral(*v, lo, hi) : std::nullopt;
 }
 
 std::optional<double>
@@ -320,16 +345,177 @@ Value::asDouble() const
 }
 
 std::optional<Value>
-parse(std::string_view text, std::string *error)
+parse(std::string_view text, std::string *error, size_t max_bytes)
 {
     Reader reader(text);
     Value out;
-    if (reader.document(out))
+    if (reader.document(out, max_bytes))
         return out;
     if (error != nullptr)
         *error = reader.error();
     return std::nullopt;
 }
+
+// ---------------------------------------------------------------------------
+// Cursor
+// ---------------------------------------------------------------------------
+
+struct Cursor::State : Lexer
+{
+    using Lexer::Lexer;
+
+    /** Fails the cursor unless @p ok. */
+    bool
+    check(bool ok)
+    {
+        failed = failed || !ok;
+        return ok;
+    }
+
+    /** Skips whitespace; false once the cursor has failed. */
+    bool
+    next()
+    {
+        skipSpace();
+        return !failed;
+    }
+
+    bool
+    open(char c)
+    {
+        if (!next() || !check(consume(c)))
+            return false;
+        first.push_back(true);
+        return true;
+    }
+
+    bool
+    close(char c)
+    {
+        if (!next() || !check(!first.empty() && consume(c)))
+            return false;
+        first.pop_back();
+        return true;
+    }
+
+    /** Per open container: nothing read in it yet. */
+    std::vector<bool> first;
+    bool failed = false;
+};
+
+Cursor::Cursor(std::string_view text, size_t max_bytes)
+    : state_(std::make_unique<State>(text))
+{
+    state_->check(state_->fits(max_bytes));
+}
+
+Cursor::~Cursor() = default;
+
+bool Cursor::ok() const { return !state_->failed; }
+bool Cursor::beginObject() { return state_->open('{'); }
+bool Cursor::endObject() { return state_->close('}'); }
+bool Cursor::beginArray() { return state_->open('['); }
+
+bool
+Cursor::tryKey(std::string_view k)
+{
+    State &s = *state_;
+    const size_t at = s.pos_;
+    if (!s.next() || s.first.empty())
+        return false;
+    bool match = s.first.back() || s.consume(',');
+    std::string name;
+    if (match) {
+        s.skipSpace();
+        match = s.peek() == '"' && s.string(name) && name == k;
+    }
+    if (!match) {
+        s.pos_ = at;
+        return false;
+    }
+    s.first.back() = false;
+    return s.next() && s.check(s.consume(':'));
+}
+
+bool
+Cursor::key(std::string_view k)
+{
+    return tryKey(k) || state_->check(false);
+}
+
+bool
+Cursor::more()
+{
+    State &s = *state_;
+    if (!s.next() || !s.check(!s.first.empty()))
+        return false;
+    if (s.consume(']')) {
+        s.first.pop_back();
+        return false;
+    }
+    const bool separated = s.first.back() || s.check(s.consume(','));
+    s.first.back() = false;
+    return separated;
+}
+
+bool
+Cursor::boolean(bool &out)
+{
+    State &s = *state_;
+    if (!s.next())
+        return false;
+    out = s.peek() == 't';
+    const std::string_view word = out ? "true" : "false";
+    const bool match = s.text_.substr(s.pos_, word.size()) == word;
+    s.pos_ += match ? word.size() : 0;
+    return s.check(match);
+}
+
+bool
+Cursor::integer(int64_t &out, int64_t lo, int64_t hi)
+{
+    double v = 0.0;
+    if (!state_->next() || !state_->check(state_->number(v)))
+        return false;
+    const auto i = integral(v, lo, hi);
+    out = i.value_or(0);
+    return state_->check(i.has_value());
+}
+
+bool
+Cursor::real(double &out)
+{
+    State &s = *state_;
+    if (!s.next())
+        return false;
+    if (s.peek() != '"')
+        return s.check(s.number(out));
+    std::string text;
+    const auto v =
+        s.string(text) ? Value(std::move(text)).asDouble() : std::nullopt;
+    out = v.value_or(0.0);
+    return s.check(v.has_value());
+}
+
+bool
+Cursor::string(std::string &out)
+{
+    State &s = *state_;
+    out.clear();
+    return s.next() && s.check(s.peek() == '"' && s.string(out));
+}
+
+bool
+Cursor::end()
+{
+    State &s = *state_;
+    return s.next() &&
+           s.check(s.first.empty() && s.pos_ == s.text_.size());
+}
+
+// ---------------------------------------------------------------------------
+// Escaping
+// ---------------------------------------------------------------------------
 
 void
 appendEscaped(std::string &out, std::string_view s)

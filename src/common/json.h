@@ -7,16 +7,20 @@
  * byte offset in the message: duplicate object keys, trailing content,
  * raw control characters inside strings, \u escapes outside ASCII,
  * numbers that round to infinity or to zero from a nonzero literal,
- * nesting deeper than kMaxDepth and documents longer than
- * kMaxDocumentBytes.  Numbers are read with std::from_chars, so every
- * double the writer emits reads back bit-exactly.  Raw UTF-8 passes
- * through strings unchanged.
+ * nesting deeper than kMaxDepth and documents longer than the
+ * caller's bound (kMaxDocumentBytes unless it passes its own).
+ * Numbers are read with std::from_chars, so every double the writer
+ * emits reads back bit-exactly.  Raw UTF-8 passes through strings
+ * unchanged.
  *
  * Writer.  Numbers are written with std::to_chars in the shortest
  * form that round-trips; ±inf (which JSON numbers cannot carry) are
  * written as the strings "inf" / "-inf", and Value::asDouble() reads
  * those back.  Output is compact unless the writer is built pretty
  * (newlines and two-space indentation).
+ *
+ * Cursor.  A pull reader under the same grammar and size bound, for
+ * fixed schemas read in member order without building a tree.
  */
 
 #ifndef QZZ_COMMON_JSON_H
@@ -26,6 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -36,7 +41,8 @@
 
 namespace qzz::json {
 
-/** Documents longer than this are rejected before any parsing. */
+/** parse()'s default bound: longer documents are rejected before
+ *  any parsing. */
 inline constexpr size_t kMaxDocumentBytes = size_t(4) << 20;
 /** Arrays and objects nest at most this deep. */
 inline constexpr int kMaxDepth = 64;
@@ -92,12 +98,60 @@ class Value
 };
 
 /**
- * Parse one document.  On failure returns nullopt and, when @p error
- * is non-null, stores "<what> at byte offset <n>" (with the innermost
- * object key in the message when the failure is inside a member).
+ * Parse one document of at most @p max_bytes.  On failure returns
+ * nullopt and, when @p error is non-null, stores "<what> at byte
+ * offset <n>" (with the innermost object key in the message when the
+ * failure is inside a member).
  */
 std::optional<Value> parse(std::string_view text,
-                           std::string *error = nullptr);
+                           std::string *error = nullptr,
+                           size_t max_bytes = kMaxDocumentBytes);
+
+/**
+ * Pull reader: walks one document token by token in the order the
+ * caller expects, without building a tree, under parse()'s grammar
+ * and size bound.  For fixed schemas whose documents are too large to
+ * hold as a Value tree (the program artifact).  Each call consumes
+ * one token with the separator before it and returns false when the
+ * next token is not the one asked for; the cursor then stays failed,
+ * except after the clean "no" of tryKey() and more().  Nesting is the
+ * schema's to bound.
+ */
+class Cursor
+{
+  public:
+    explicit Cursor(std::string_view text,
+                    size_t max_bytes = kMaxDocumentBytes);
+    ~Cursor();
+
+    bool beginObject();
+    /** The next member's key is @p k: consumes it and its ':' and
+     *  returns true.  Otherwise consumes nothing and returns false. */
+    bool tryKey(std::string_view k);
+    /** tryKey(), failing the cursor when the next key is another. */
+    bool key(std::string_view k);
+    bool endObject();
+    bool beginArray();
+    /** True when another element follows (its ',' consumed); false at
+     *  the closing ']', which it consumes, or on failure (see ok()). */
+    bool more();
+
+    bool boolean(bool &out);
+    /** A number that is an integer in [lo, hi] (see Value::asInt()). */
+    bool integer(int64_t &out, int64_t lo, int64_t hi);
+    /** A number, or "inf" / "-inf" (see Value::asDouble()). */
+    bool real(double &out);
+    bool string(std::string &out);
+    /** Only whitespace is left. */
+    bool end();
+
+    /** No call has failed. */
+    bool ok() const;
+
+  private:
+    struct State;
+    std::unique_ptr<State> state_;
+};
 
 /** Append @p s to @p out as the body of a JSON string literal. */
 void appendEscaped(std::string &out, std::string_view s);

@@ -40,22 +40,9 @@ writeScheduleDocument(const Schedule &schedule,
 
     w.key("layers").beginArray();
     for (const Layer &layer : schedule.layers) {
-        w.beginObject()
-            .field("virtual", layer.is_virtual)
-            .field("duration_ns", layer.duration);
-        if (!layer.is_virtual) {
-            w.field("nq", layer.metrics.nq).field("nc", layer.metrics.nc);
-            w.key("side").array(layer.side);
-        }
-        w.key("gates").beginArray();
-        for (const ScheduledGate &sg : layer.gates) {
-            w.beginObject().field("kind", ckt::gateKindName(sg.gate.kind));
-            w.key("qubits").array(sg.gate.qubits);
-            if (!sg.gate.params.empty())
-                w.key("params").array(sg.gate.params);
-            w.field("supplemented", sg.supplemented).endObject();
-        }
-        w.endArray().endObject();
+        w.beginObject();
+        writeLayerMembers(w, layer, false);
+        w.endObject();
     }
     w.endArray();
 
@@ -85,6 +72,33 @@ writeScheduleDocument(const Schedule &schedule,
 }
 
 } // namespace
+
+void
+writeGateMembers(json::Writer &w, const ckt::Gate &gate)
+{
+    w.field("kind", ckt::gateKindName(gate.kind));
+    w.key("qubits").array(gate.qubits);
+    if (!gate.params.empty())
+        w.key("params").array(gate.params);
+}
+
+void
+writeLayerMembers(json::Writer &w, const Layer &layer, bool all_members)
+{
+    w.field("virtual", layer.is_virtual)
+        .field("duration_ns", layer.duration);
+    if (all_members || !layer.is_virtual) {
+        w.field("nq", layer.metrics.nq).field("nc", layer.metrics.nc);
+        w.key("side").array(layer.side);
+    }
+    w.key("gates").beginArray();
+    for (const ScheduledGate &sg : layer.gates) {
+        w.beginObject();
+        writeGateMembers(w, sg.gate);
+        w.field("supplemented", sg.supplemented).endObject();
+    }
+    w.endArray();
+}
 
 void
 writeScheduleJson(const Schedule &schedule,

@@ -3,7 +3,9 @@
  * Schedule export: serialize a compiled schedule (layers, cuts,
  * per-gate pulse programs with sampled waveforms) to a JSON document
  * that a control-electronics backend or plotting notebook can
- * consume.  Output only; qzz itself never reads these files.
+ * consume.  qzz never reads these documents back; the program
+ * artifact (service/artifact.h) that it does read shares their layer
+ * and gate members.
  */
 
 #ifndef QZZ_CORE_SCHEDULE_IO_H
@@ -66,6 +68,24 @@ void writeCompiledProgramJson(const CompiledProgram &program,
  *  can embed it in a larger document without a copy. */
 void writeCompiledProgramJson(const CompiledProgram &program,
                               json::Writer &w, double sample_dt);
+
+/**
+ * The members of one gate, into an object the caller has opened:
+ * "kind" (gateKindName()), "qubits", and "params" when the gate has
+ * any.  Shared by the documents above and the program artifact
+ * (service/artifact.h), so the two encodings cannot drift.
+ */
+void writeGateMembers(json::Writer &w, const ckt::Gate &gate);
+
+/**
+ * The members of one layer, into an object the caller has opened:
+ * "virtual", "duration_ns", then "nq", "nc" and "side", then "gates"
+ * (writeGateMembers() plus "supplemented" each).  The schedule
+ * documents omit the cut members of virtual layers, which carry no
+ * cut; @p all_members writes them for every layer.
+ */
+void writeLayerMembers(json::Writer &w, const Layer &layer,
+                       bool all_members);
 
 } // namespace qzz::core
 

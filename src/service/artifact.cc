@@ -1,277 +1,253 @@
 #include "service/artifact.h"
 
 #include <istream>
-#include <ostream>
-#include <sstream>
-#include <string>
+#include <limits>
 #include <vector>
 
+#include "common/json.h"
 #include "core/pulse_opt.h"
+#include "core/schedule_io.h"
 
 namespace qzz::svc {
 
 namespace {
 
+constexpr int64_t kIntMin = std::numeric_limits<int>::min();
+constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+
+/** An array of integers in [lo, hi] into @p out. */
+bool
+readInts(json::Cursor &c, int64_t lo, int64_t hi, std::vector<int> &out)
+{
+    if (!c.beginArray())
+        return false;
+    int64_t v = 0;
+    while (c.more()) {
+        if (!c.integer(v, lo, hi))
+            return false;
+        out.push_back(int(v));
+    }
+    return c.ok();
+}
+
 /**
- * Ceiling on any element count read from an artifact.  Counts stream
- * in as size_t, so a corrupt field like "-1" parses to 2^64-1 and an
- * unchecked resize() would throw length_error (or worse, allocate);
- * real programs are nowhere near this bound.
+ * The members core::writeGateMembers() writes, inside an object the
+ * caller opened.  Schedule-layer gates never pass
+ * QuantumCircuit::add(), so the kind, the arity, distinct operands in
+ * [0, @p num_qubits) and the inline parameter capacity are all
+ * checked here.
  */
-constexpr size_t kMaxCount = size_t(1) << 24;
-
 bool
-readCount(std::istream &is, size_t &out)
+readGateMembers(json::Cursor &c, int num_qubits, ckt::Gate &g)
 {
-    return bool(is >> out) && out <= kMaxCount;
+    std::string name;
+    if (!c.key("kind") || !c.string(name))
+        return false;
+    const std::optional<ckt::GateKind> kind = ckt::gateKindFromName(name);
+    if (!kind || !c.key("qubits") || !c.beginArray())
+        return false;
+    g.kind = *kind;
+    const size_t arity = size_t(ckt::gateArity(g.kind));
+    int64_t q = 0;
+    while (c.more()) {
+        if (g.qubits.size() == arity || !c.integer(q, 0, num_qubits - 1))
+            return false;
+        g.qubits.push_back(int(q));
+    }
+    if (!c.ok() || g.qubits.size() != arity ||
+        (arity == 2 && g.qubits[0] == g.qubits[1]))
+        return false;
+    if (!c.tryKey("params"))
+        return c.ok();
+    if (!c.beginArray())
+        return false;
+    double p = 0.0;
+    while (c.more()) {
+        if (g.params.size() == ckt::Gate::Params::capacity() || !c.real(p))
+            return false;
+        g.params.push_back(p);
+    }
+    return c.ok();
 }
 
-void
-writeGate(std::ostream &os, const ckt::Gate &g)
+/** One layer: core::writeLayerMembers() with every member, plus the
+ *  suppression metrics' per-edge flags (a string of '0' / '1', one
+ *  character per edge) and per-vertex regions. */
+bool
+readLayer(json::Cursor &c, int num_qubits, core::Layer &layer)
 {
-    os << "g " << int(g.kind) << " " << g.qubits.size();
-    for (int q : g.qubits)
-        os << " " << q;
-    os << " " << g.params.size();
-    for (double p : g.params)
-        os << " " << p;
+    core::SuppressionMetrics &m = layer.metrics;
+    int64_t nq = 0, nc = 0;
+    if (!c.beginObject() || !c.key("virtual") ||
+        !c.boolean(layer.is_virtual) || !c.key("duration_ns") ||
+        !c.real(layer.duration) || !c.key("nq") ||
+        !c.integer(nq, kIntMin, kIntMax) || !c.key("nc") ||
+        !c.integer(nc, kIntMin, kIntMax) || !c.key("side") ||
+        !readInts(c, kIntMin, kIntMax, layer.side) || !c.key("gates") ||
+        !c.beginArray())
+        return false;
+    m.nq = int(nq);
+    m.nc = int(nc);
+    while (c.more()) {
+        core::ScheduledGate &sg = layer.gates.emplace_back();
+        if (!c.beginObject() || !readGateMembers(c, num_qubits, sg.gate) ||
+            !c.key("supplemented") || !c.boolean(sg.supplemented) ||
+            !c.endObject())
+            return false;
+    }
+    std::string flags;
+    if (!c.key("unsuppressed_edge") || !c.string(flags) ||
+        flags.find_first_not_of("01") != std::string::npos ||
+        !c.key("region_of") || !readInts(c, kIntMin, kIntMax, m.region_of))
+        return false;
+    for (char f : flags)
+        m.unsuppressed_edge.push_back(char(f - '0'));
+    return c.endObject();
 }
 
-/** Reads the tokens produced by writeGate() after its "g" tag.
- *  Schedule-layer gates never pass QuantumCircuit::add(), so the kind
- *  and operand counts are validated here. */
+/** The members every artifact opens with, through calib_epoch. */
 bool
-readGate(std::istream &is, ckt::Gate &g)
+readHeader(json::Cursor &c, core::CompiledProgram &program)
 {
-    int kind = 0;
-    size_t nq = 0, np = 0;
-    if (!(is >> kind) || kind < 0 || kind > int(ckt::kLastGateKind))
+    int64_t version = 0, epoch = 0;
+    std::string method, policy;
+    if (!c.beginObject() || !c.key("qzzprog") ||
+        !c.integer(version, kArtifactVersion, kArtifactVersion) ||
+        !c.key("pulse_method") || !c.string(method) ||
+        !c.key("sched_policy") || !c.string(policy) ||
+        !c.key("calib_epoch") ||
+        !c.integer(epoch, 0, std::numeric_limits<int64_t>::max()))
         return false;
-    g.kind = ckt::GateKind(kind);
-    if (!(is >> nq) || nq != size_t(ckt::gateArity(g.kind)))
+    const auto m = core::pulseMethodFromName(method);
+    const auto p = core::schedPolicyFromName(policy);
+    if (!m || !p)
         return false;
-    g.qubits.resize(nq);
-    for (int &q : g.qubits)
-        if (!(is >> q))
-            return false;
-    if (!(is >> np) || np > ckt::Gate::Params::capacity())
-        return false;
-    g.params.resize(np);
-    for (double &p : g.params)
-        if (!(is >> p))
-            return false;
+    program.pulse_method = *m;
+    program.sched_policy = *p;
+    program.calib_epoch = uint64_t(epoch);
     return true;
 }
 
-bool
-expectTag(std::istream &is, const char *tag)
+/** The rest of the seekable stream @p is in one exactly sized
+ *  buffer; nullopt past kMaxArtifactBytes, which is checked before
+ *  anything is read. */
+std::optional<std::string>
+readBounded(std::istream &is)
 {
-    std::string tok;
-    return (is >> tok) && tok == tag;
+    std::streambuf &buf = *is.rdbuf();
+    const auto start = buf.pubseekoff(0, std::ios::cur, std::ios::in);
+    const auto end = buf.pubseekoff(0, std::ios::end, std::ios::in);
+    if (start == -1 || end == -1 ||
+        size_t(end - start) > kMaxArtifactBytes ||
+        buf.pubseekpos(start, std::ios::in) == -1)
+        return std::nullopt;
+    std::string text(size_t(end - start), '\0');
+    is.read(text.data(), std::streamsize(text.size()));
+    text.resize(size_t(is.gcount()));
+    return text;
 }
 
-/** Length-prefixed string: "<len> <exactly len bytes>". */
-void
-writeString(std::ostream &os, const std::string &s)
+/** The program of one artifact document, read member by member in
+ *  the order programArtifactString() writes them. */
+std::optional<core::CompiledProgram>
+decodeProgram(std::string_view text)
 {
-    os << s.size() << " " << s;
-}
-
-bool
-readString(std::istream &is, std::string &s)
-{
-    size_t len = 0;
-    if (!readCount(is, len))
-        return false;
-    if (is.get() != ' ')
-        return false;
-    s.resize(len);
-    is.read(s.data(), std::streamsize(len));
-    return bool(is);
+    json::Cursor c(text, kMaxArtifactBytes);
+    core::CompiledProgram program;
+    int64_t num_qubits = 0, native_qubits = 0;
+    std::string name;
+    if (!readHeader(c, program) || !c.key("num_qubits") ||
+        !c.integer(num_qubits, 0, kIntMax) || !c.key("native") ||
+        !c.beginObject() || !c.key("name") || !c.string(name) ||
+        !c.key("qubits") || !c.integer(native_qubits, 1, kIntMax) ||
+        !c.key("gates") || !c.beginArray())
+        return std::nullopt;
+    program.schedule.num_qubits = int(num_qubits);
+    program.native = ckt::QuantumCircuit(int(native_qubits), name);
+    while (c.more()) {
+        ckt::Gate g;
+        if (!c.beginObject() || !readGateMembers(c, int(native_qubits), g) ||
+            !c.endObject())
+            return std::nullopt;
+        program.native.add(g); // cannot throw: readGateMembers checked it
+    }
+    if (!c.endObject() || !c.key("final_layout") ||
+        !readInts(c, kIntMin, kIntMax, program.final_layout) ||
+        !c.key("layers") || !c.beginArray())
+        return std::nullopt;
+    while (c.more())
+        if (!readLayer(c, program.schedule.num_qubits,
+                       program.schedule.layers.emplace_back()))
+            return std::nullopt;
+    if (!c.endObject() || !c.end())
+        return std::nullopt;
+    return program;
 }
 
 } // namespace
-
-void
-writeProgramArtifact(const core::CompiledProgram &program,
-                     std::ostream &os)
-{
-    os.precision(17); // max_digits10: exact binary64 round-trip
-    os << "qzzprog " << kArtifactVersion << "\n";
-    os << "pulse_method " << core::pulseMethodName(program.pulse_method)
-       << "\n";
-    os << "sched_policy " << core::schedPolicyName(program.sched_policy)
-       << "\n";
-    os << "calib_epoch " << program.calib_epoch << "\n";
-
-    const ckt::QuantumCircuit &native = program.native;
-    os << "native " << native.numQubits() << " ";
-    writeString(os, native.name());
-    os << "\n" << native.size() << "\n";
-    for (const ckt::Gate &g : native.gates()) {
-        writeGate(os, g);
-        os << "\n";
-    }
-
-    os << "layout " << program.final_layout.size();
-    for (int v : program.final_layout)
-        os << " " << v;
-    os << "\n";
-
-    const core::Schedule &sched = program.schedule;
-    os << "schedule " << sched.num_qubits << " " << sched.layers.size()
-       << "\n";
-    for (const core::Layer &layer : sched.layers) {
-        os << "layer " << int(layer.is_virtual) << " " << layer.duration
-           << "\n";
-        os << "side " << layer.side.size();
-        for (int s : layer.side)
-            os << " " << s;
-        os << "\n";
-        os << "metrics " << layer.metrics.nc << " " << layer.metrics.nq
-           << " " << layer.metrics.unsuppressed_edge.size();
-        for (char f : layer.metrics.unsuppressed_edge)
-            os << " " << int(f);
-        os << " " << layer.metrics.region_of.size();
-        for (int r : layer.metrics.region_of)
-            os << " " << r;
-        os << "\n";
-        os << "gates " << layer.gates.size() << "\n";
-        for (const core::ScheduledGate &sg : layer.gates) {
-            writeGate(os, sg.gate);
-            os << " " << int(sg.supplemented) << "\n";
-        }
-    }
-    os << "end\n";
-}
 
 std::string
 programArtifactString(const core::CompiledProgram &program)
 {
-    std::ostringstream os;
-    writeProgramArtifact(program, os);
-    return os.str();
+    std::string out;
+    json::Writer w(out);
+    w.beginObject()
+        .field("qzzprog", kArtifactVersion)
+        .field("pulse_method", core::pulseMethodName(program.pulse_method))
+        .field("sched_policy", core::schedPolicyName(program.sched_policy))
+        .field("calib_epoch", program.calib_epoch)
+        .field("num_qubits", program.schedule.num_qubits);
+
+    const ckt::QuantumCircuit &native = program.native;
+    w.key("native")
+        .beginObject()
+        .field("name", native.name())
+        .field("qubits", native.numQubits());
+    w.key("gates").beginArray();
+    for (const ckt::Gate &g : native.gates()) {
+        w.beginObject();
+        core::writeGateMembers(w, g);
+        w.endObject();
+    }
+    w.endArray().endObject();
+
+    w.key("final_layout").array(program.final_layout);
+    w.key("layers").beginArray();
+    std::string flags;
+    for (const core::Layer &layer : program.schedule.layers) {
+        w.beginObject();
+        core::writeLayerMembers(w, layer, true);
+        flags.clear();
+        for (char f : layer.metrics.unsuppressed_edge)
+            flags += f != 0 ? '1' : '0';
+        w.field("unsuppressed_edge", flags);
+        w.key("region_of").array(layer.metrics.region_of);
+        w.endObject();
+    }
+    w.endArray().endObject();
+    return out;
 }
-
-namespace {
-
-/** Reads the four header lines into @p program's configuration. */
-bool
-readHeader(std::istream &is, core::CompiledProgram &program)
-{
-    int version = 0;
-    if (!expectTag(is, "qzzprog") || !(is >> version) ||
-        version != kArtifactVersion)
-        return false;
-
-    std::string method_name, policy_name;
-    if (!expectTag(is, "pulse_method") || !(is >> method_name))
-        return false;
-    if (!expectTag(is, "sched_policy") || !(is >> policy_name))
-        return false;
-    const auto method = core::pulseMethodFromName(method_name);
-    const auto policy = core::schedPolicyFromName(policy_name);
-    if (!method || !policy)
-        return false;
-    program.pulse_method = *method;
-    program.sched_policy = *policy;
-    return expectTag(is, "calib_epoch") && bool(is >> program.calib_epoch);
-}
-
-} // namespace
 
 uint64_t
 readArtifactCalibEpoch(std::istream &is)
 {
-    core::CompiledProgram program;
-    return readHeader(is, program) ? program.calib_epoch : 0;
+    // The header members come first and are short: a prefix holds
+    // them, so a stray artifact is never read whole for its epoch.
+    std::string head(1024, '\0');
+    is.read(head.data(), std::streamsize(head.size()));
+    head.resize(size_t(is.gcount()));
+    json::Cursor c(head);
+    core::CompiledProgram header;
+    return readHeader(c, header) ? header.calib_epoch : 0;
 }
 
 std::optional<core::CompiledProgram>
 readProgramArtifact(std::istream &is, bool attach_library)
 {
-    core::CompiledProgram program;
-    if (!readHeader(is, program))
-        return std::nullopt;
-
-    int native_qubits = 0;
-    std::string native_name;
-    size_t num_gates = 0;
-    if (!expectTag(is, "native") || !(is >> native_qubits) ||
-        !readString(is, native_name) || !readCount(is, num_gates))
-        return std::nullopt;
-    program.native = ckt::QuantumCircuit(native_qubits, native_name);
-    for (size_t i = 0; i < num_gates; ++i) {
-        ckt::Gate g;
-        if (!expectTag(is, "g") || !readGate(is, g))
-            return std::nullopt;
-        program.native.add(std::move(g));
-    }
-
-    size_t layout_size = 0;
-    if (!expectTag(is, "layout") || !readCount(is, layout_size))
-        return std::nullopt;
-    program.final_layout.resize(layout_size);
-    for (int &v : program.final_layout)
-        if (!(is >> v))
-            return std::nullopt;
-
-    size_t num_layers = 0;
-    if (!expectTag(is, "schedule") ||
-        !(is >> program.schedule.num_qubits) ||
-        !readCount(is, num_layers))
-        return std::nullopt;
-    program.schedule.layers.resize(num_layers);
-    for (core::Layer &layer : program.schedule.layers) {
-        int is_virtual = 0;
-        if (!expectTag(is, "layer") || !(is >> is_virtual) ||
-            !(is >> layer.duration))
-            return std::nullopt;
-        layer.is_virtual = is_virtual != 0;
-
-        size_t side_size = 0;
-        if (!expectTag(is, "side") || !readCount(is, side_size))
-            return std::nullopt;
-        layer.side.resize(side_size);
-        for (int &s : layer.side)
-            if (!(is >> s))
-                return std::nullopt;
-
-        size_t n_unsup = 0, n_region = 0;
-        if (!expectTag(is, "metrics") || !(is >> layer.metrics.nc) ||
-            !(is >> layer.metrics.nq) || !readCount(is, n_unsup))
-            return std::nullopt;
-        layer.metrics.unsuppressed_edge.resize(n_unsup);
-        for (char &f : layer.metrics.unsuppressed_edge) {
-            int v = 0;
-            if (!(is >> v))
-                return std::nullopt;
-            f = char(v);
-        }
-        if (!readCount(is, n_region))
-            return std::nullopt;
-        layer.metrics.region_of.resize(n_region);
-        for (int &r : layer.metrics.region_of)
-            if (!(is >> r))
-                return std::nullopt;
-
-        size_t n_layer_gates = 0;
-        if (!expectTag(is, "gates") || !readCount(is, n_layer_gates))
-            return std::nullopt;
-        layer.gates.resize(n_layer_gates);
-        for (core::ScheduledGate &sg : layer.gates) {
-            int supplemented = 0;
-            if (!expectTag(is, "g") || !readGate(is, sg.gate) ||
-                !(is >> supplemented))
-                return std::nullopt;
-            sg.supplemented = supplemented != 0;
-        }
-    }
-    if (!expectTag(is, "end"))
-        return std::nullopt;
-
-    if (attach_library)
-        program.library = core::getPulseLibraryShared(program.pulse_method);
+    const auto text = readBounded(is);
+    auto program = text ? decodeProgram(*text) : std::nullopt;
+    if (program && attach_library)
+        program->library = core::getPulseLibraryShared(program->pulse_method);
     return program;
 }
 

@@ -1,23 +1,28 @@
 /**
  * @file
- * Compiled-program artifacts: a lossless, versioned text round-trip
- * of a CompiledProgram minus its pulse library.
+ * Compiled-program artifacts: a lossless, versioned JSON document of
+ * a CompiledProgram minus its pulse library.
  *
  * The on-disk tier of the program cache persists one artifact per
  * request fingerprint.  The pulse library itself is NOT serialized —
  * it is calibration data owned by the pulse store (core/pulse_opt.h),
  * addressed by the PulseMethod the artifact records — so loading an
- * artifact re-attaches the shared library for its method.  Every
- * double is written with max_digits10 precision, which round-trips
- * IEEE-754 binary64 exactly: a program loaded from disk is
- * bit-identical to the one that was stored.
+ * artifact re-attaches the shared library for its method.  The
+ * document is written with json::Writer (shortest round-trip digits,
+ * so every double reads back bit-exactly), its layers and gates with
+ * the same encoders as the response's program
+ * (core::writeLayerMembers / writeGateMembers), and read back member
+ * by member with json::Cursor, which builds no tree: a program loaded
+ * from disk is bit-identical to the one that was stored.  The layout
+ * is in docs/formats.md.
  */
 
 #ifndef QZZ_SERVICE_ARTIFACT_H
 #define QZZ_SERVICE_ARTIFACT_H
 
+#include <cstddef>
+#include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <optional>
 #include <string>
 
@@ -25,31 +30,37 @@
 
 namespace qzz::svc {
 
-/** Artifact format version (stored in the header line).
- *  v2: adds the calib_epoch field — artifacts are versioned by the
- *  calibration-snapshot epoch they were compiled against. */
-inline constexpr int kArtifactVersion = 2;
+/** Artifact format version (the "qzzprog" member).
+ *  v2: adds the calib_epoch field.
+ *  v3: a JSON document sharing the response's layer and gate
+ *  encoding (v2 was a whitespace-token text format). */
+inline constexpr int kArtifactVersion = 3;
 
-/** Serialize @p program (without its pulse library) to @p os. */
-void writeProgramArtifact(const core::CompiledProgram &program,
-                          std::ostream &os);
+/**
+ * Largest artifact the disk tier writes or reads.  Above the JSON
+ * reader's 4 MiB default, since a QFT-24 artifact is already 1.7 MB;
+ * a larger program is served from memory only.
+ */
+inline constexpr size_t kMaxArtifactBytes = size_t(16) << 20;
 
-/** writeProgramArtifact() into a string (also the canonical
- *  byte-for-byte program identity used by the bit-identity tests). */
+/** The artifact document of @p program (without its pulse library);
+ *  also the canonical byte-for-byte program identity used by the
+ *  bit-identity tests. */
 std::string programArtifactString(const core::CompiledProgram &program);
 
 /**
  * Parse an artifact back.  The returned program carries a null
  * library when @p attach_library is false; otherwise the shared
  * calibration library for the recorded PulseMethod is re-attached via
- * getPulseLibraryShared().  Returns nullopt on malformed or
- * version-mismatched input.
+ * getPulseLibraryShared().  Returns nullopt on malformed, oversized
+ * or version-mismatched input, and on a stream that cannot seek (the
+ * size bound is checked before anything is read).
  */
 std::optional<core::CompiledProgram>
 readProgramArtifact(std::istream &is, bool attach_library = true);
 
-/** The calib_epoch an artifact's header records, reading only the
- *  header; 0 when the header is unreadable or of another version. */
+/** The calib_epoch an artifact records, reading only the leading
+ *  header members; 0 when they are unreadable or of another version. */
 uint64_t readArtifactCalibEpoch(std::istream &is);
 
 } // namespace qzz::svc

@@ -69,32 +69,21 @@ struct CompileService::Inflight
  *   - cold: requests grouped per compiler key (device x options), so
  *     consecutive cold compiles share one immutable core::Compiler's
  *     routing tables and pulse library.  The queue serves up to
- *     batch_limit requests from the sticky active group, then
+ *     kColdBatchLimit requests from the sticky active group, then
  *     rotates to the group holding the oldest waiter, which bounds
  *     how long a group can be starved by a hot neighbour.
- *
- * With cache_aware off, every task lands in one cold group per
- * class, which degenerates to the classic strict FIFO per priority.
  */
 class CompileService::Admission
 {
   public:
-    Admission(bool cache_aware, int batch_limit)
-        : cache_aware_(cache_aware), batch_limit_(batch_limit)
-    {
-    }
-
     void
     push(const TaskPtr &task)
     {
         Class &cls = classes_[task->request.request.priority];
-        if (cache_aware_ && task->warm) {
+        if (task->warm)
             cls.warm.push_back(task);
-        } else {
-            const Fingerprint key =
-                cache_aware_ ? task->compiler_key : Fingerprint{};
-            cls.cold[key].push_back(task);
-        }
+        else
+            cls.cold[task->compiler_key].push_back(task);
         ++total_;
     }
 
@@ -110,8 +99,7 @@ class CompileService::Admission
             cls.warm.pop_front();
         } else {
             auto group = cls.cold.end();
-            if (cls.has_active &&
-                cls.served_in_batch < batch_limit_)
+            if (cls.has_active && cls.served_in_batch < kColdBatchLimit)
                 group = cls.cold.find(cls.active_key);
             if (group == cls.cold.end()) {
                 // Rotate to the group with the oldest waiting head.
@@ -172,8 +160,6 @@ class CompileService::Admission
         int served_in_batch = 0;
     };
 
-    bool cache_aware_;
-    int batch_limit_;
     /** Highest priority first. */
     std::map<int, Class, std::greater<int>> classes_;
     size_t total_ = 0;
@@ -253,12 +239,8 @@ CompileService::CompileService(CompileServiceConfig config)
                     : std::make_shared<tel::MetricsRegistry>()),
       cache_(cacheConfigWithRegistry(config_.cache, registry_)),
       start_(Clock::now()),
-      queue_(std::make_unique<Admission>(config_.cache_aware_admission,
-                                         config_.cold_batch_limit)),
-      paused_(config_.start_paused)
+      queue_(std::make_unique<Admission>()), paused_(config_.start_paused)
 {
-    require(config_.cold_batch_limit >= 1,
-            "CompileService: cold_batch_limit must be >= 1");
     tel::MetricsRegistry &reg = *registry_;
     submitted_ = &reg.counter("qzz_service_requests_submitted_total",
                               "Requests accepted by submit().");
@@ -367,7 +349,6 @@ CompileService::submit(CompileRequest request)
             // queued; a fingerprint evicted between here and serve()
             // just costs that one request a cold compile.
             task->warm = task->request.request.use_cache &&
-                         config_.cache_aware_admission &&
                          cache_.contains(task->fingerprint);
             queue_->push(task);
             accepted = true;
@@ -525,38 +506,35 @@ CompileService::serve(const TaskPtr &task)
             finish(task, std::move(result));
             return;
         }
-        if (config_.coalesce) {
-            std::lock_guard<std::mutex> lock(coalesce_mu_);
-            auto it = inflight_.find(task->fingerprint);
-            if (it != inflight_.end()) {
-                // An identical compile is already in flight on
-                // another worker: park on it.  The primary resolves
-                // this task's promise when it publishes, and this
-                // worker is immediately free for other requests.
-                // Counted as coalesced, not as a cache miss — the
-                // hit rate should reflect compiles actually run.
-                it->second->followers.push_back(task);
-                return;
-            }
-            // Primary election re-checks the cache under the registry
-            // lock: a finishing primary inserts into the cache before
-            // retiring its registry entry (also under this lock), so
-            // "no entry and still a miss" proves no successful
-            // duplicate compile finished in between — concurrent
-            // identical submissions cold-compile at most once.
-            if (auto program = timedLookup()) {
-                cache_hits_->inc();
-                completed_->inc();
-                result.outcome = Outcome::CacheHit;
-                result.program = std::move(program);
-                finish(task, std::move(result));
-                return;
-            }
-            inflight = std::make_shared<Inflight>();
-            inflight_.emplace(task->fingerprint, inflight);
+        std::lock_guard<std::mutex> lock(coalesce_mu_);
+        auto it = inflight_.find(task->fingerprint);
+        if (it != inflight_.end()) {
+            // An identical compile is already in flight on
+            // another worker: park on it.  The primary resolves
+            // this task's promise when it publishes, and this
+            // worker is immediately free for other requests.
+            // Counted as coalesced, not as a cache miss — the
+            // hit rate should reflect compiles actually run.
+            it->second->followers.push_back(task);
+            return;
         }
-        // Only an elected primary (or a cold compile with coalescing
-        // off) is a real miss: it runs the compiler.
+        // Primary election re-checks the cache under the registry
+        // lock: a finishing primary inserts into the cache before
+        // retiring its registry entry (also under this lock), so
+        // "no entry and still a miss" proves no successful
+        // duplicate compile finished in between — concurrent
+        // identical submissions cold-compile at most once.
+        if (auto program = timedLookup()) {
+            cache_hits_->inc();
+            completed_->inc();
+            result.outcome = Outcome::CacheHit;
+            result.program = std::move(program);
+            finish(task, std::move(result));
+            return;
+        }
+        inflight = std::make_shared<Inflight>();
+        inflight_.emplace(task->fingerprint, inflight);
+        // Only an elected primary is a real miss: it runs the compiler.
         cache_misses_->inc();
     }
 

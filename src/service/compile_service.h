@@ -32,12 +32,11 @@
  * worker for no meaningful time, so boosting it slashes its latency
  * without delaying any cold compile by more than that.  Cold
  * requests are batched per (device, options) compiler key: up to
- * cold_batch_limit consecutive requests sharing one immutable
+ * kColdBatchLimit consecutive requests sharing one immutable
  * core::Compiler (its routing tables and pulse library) are served
  * back to back for locality, after which the queue rotates to the
  * group holding the oldest waiting request, bounding cross-group
- * unfairness.  Both lanes stay FIFO internally, and turning
- * cache_aware_admission off restores strict FIFO within a priority.
+ * unfairness.  Both lanes stay FIFO internally.
  *
  * Every completed request updates instruments in a
  * tel::MetricsRegistry (counters, queue/latency/compile histograms);
@@ -185,6 +184,10 @@ class RequestHandle
     Fingerprint fingerprint_;
 };
 
+/** Consecutive cold requests admission serves from one compiler-key
+ *  group before rotating to the group with the oldest waiter. */
+inline constexpr int kColdBatchLimit = 8;
+
 /** CompileService construction knobs. */
 struct CompileServiceConfig
 {
@@ -195,28 +198,6 @@ struct CompileServiceConfig
     /** Start with workers paused (tests / queue preloading); call
      *  resume() to begin serving. */
     bool start_paused = false;
-    /**
-     * Collapse concurrent duplicate requests onto one compilation:
-     * when a worker misses the cache but an identical fingerprint is
-     * already compiling on another worker, the request parks on that
-     * in-flight compile and resolves with Outcome::Coalesced instead
-     * of cold-compiling a second time.  Guarantees at most one cold
-     * compile per fingerprint among concurrent cache-using
-     * submissions (the in-flight registry is checked under one lock
-     * with the cache, and the winner publishes to the cache before
-     * retiring its registry entry).
-     */
-    bool coalesce = true;
-    /**
-     * Cache-aware admission (see the file comment): warm requests
-     * jump ahead of cold ones within their priority class, and cold
-     * requests are served in per-compiler-key batches.  Off = strict
-     * FIFO within a priority.
-     */
-    bool cache_aware_admission = true;
-    /** Consecutive cold requests served from one compiler-key group
-     *  before rotating to the group with the oldest waiter (>= 1). */
-    int cold_batch_limit = 8;
     ProgramCacheConfig cache;
     /** Instrument registry shared with the rest of the process; null
      *  gives the service (and its cache) a private registry. */

@@ -246,8 +246,7 @@ ProgramCache::loadArtifact(const Fingerprint &key, uint64_t &bytes)
     if (!in)
         return nullptr; // includes a GC eviction racing this lookup
     // A corrupt artifact must read as a miss, never kill a serving
-    // worker: beyond parse failures (nullopt), circuit reconstruction
-    // can throw UserError on mangled gate payloads.
+    // worker.
     try {
         std::optional<core::CompiledProgram> program =
             readProgramArtifact(in);
@@ -272,15 +271,19 @@ ProgramCache::storeArtifact(const Fingerprint &key,
                             const std::string &serialized,
                             uint64_t calib_epoch)
 {
+    if (serialized.size() > kMaxArtifactBytes)
+        return; // it could not be read back: memory tier only
     std::error_code ec;
     std::filesystem::create_directories(config_.artifact_dir, ec);
     if (ec)
         return; // the artifact tier is best-effort
     const auto final_path = artifactPath(config_.artifact_dir, key);
-    if (std::filesystem::exists(final_path, ec))
-        return; // artifacts are immutable: first writer wins
     // Write-private temp then rename, exactly like the pulse
     // calibration store: concurrent writers can never tear a file.
+    // The rename replaces whatever is there, so an artifact this
+    // build cannot read (another version, torn, corrupt) gives way to
+    // the program recompiled in its place; concurrent writers of one
+    // fingerprint write identical bytes.
     static const unsigned process_tag = std::random_device{}();
     static std::atomic<unsigned> counter{0};
     const auto suffix =

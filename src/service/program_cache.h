@@ -19,7 +19,10 @@
  * temp-then-rename pattern as the pulse calibration store, so
  * concurrent writers can never leave a torn artifact; misses fall
  * back to loading from disk (surviving process restarts and sharing
- * warm state between processes).  Each persisted artifact is recorded
+ * warm state between processes).  An artifact that does not read back
+ * (another version, torn, corrupt) is a miss, and the recompiled
+ * program's write replaces it; a program whose artifact would exceed
+ * kMaxArtifactBytes stays in memory only.  Each persisted artifact is recorded
  * in the directory's manifest.jsonl under an advisory file lock, and
  * the tier is bounded by svc::ArtifactGc (artifact_gc.h): N server
  * processes share one directory, with lock-free readers falling back

@@ -27,6 +27,24 @@
 
 namespace qzz::svc {
 
+namespace {
+
+/** Member @p key as a seed, @p fallback when absent.  Checked before
+ *  the int64 -> uint64 conversion: a negative or non-integer value is
+ *  an error naming the field, not a wrapped seed. */
+uint64_t
+seedField(const JsonObject &obj, const char *key, uint64_t fallback)
+{
+    if (!obj.has(key))
+        return fallback;
+    const auto v = obj.getInt(key);
+    if (!v || *v < 0)
+        fatal(std::string("bad '") + key + "' (non-negative integer)");
+    return uint64_t(*v);
+}
+
+} // namespace
+
 // ---------------------------------------------------------------------------
 // Session
 // ---------------------------------------------------------------------------
@@ -117,10 +135,10 @@ Session::handleRequest(const JsonObject &obj, uint64_t lineno)
                              std::to_string(kMaxQubits) + "])");
         return;
     }
-    const uint64_t seed = uint64_t(obj.getInt("seed").value_or(1));
-
+    uint64_t seed = 1;
     CompileRequest request;
     try {
+        seed = seedField(obj, "seed", 1);
         auto circuit = ckt::namedBenchmark(*family, int(*qubits), seed);
         if (!circuit) {
             enqueueError(id, "unknown benchmark '" + *family +
@@ -526,14 +544,14 @@ Session::respondCalibrate(const JsonObject &obj)
         return;
     }
     graph::Topology topo;
+    uint64_t device_seed = 7;
     try {
         topo = server_.topologyFor(obj, calib->num_qubits);
+        device_seed = seedField(obj, "device_seed", 7);
     } catch (const std::exception &e) {
         fail(e.what());
         return;
     }
-    const uint64_t device_seed =
-        uint64_t(obj.getInt("device_seed").value_or(7));
 
     const CalibrationUpdate u = server_.hub().apply(
         std::move(topo), device_seed, std::move(*calib), "calibrate");
@@ -697,37 +715,55 @@ Server::runSession(Connection &conn)
 graph::Topology
 Server::topologyFor(const JsonObject &obj, int default_qubits)
 {
+    // Each dimension is range-checked before the int64 -> int
+    // narrowing, and rows x cols before anything is built (a heavy-hex
+    // cell holds several qubits, so that also bounds the build).
+    const auto dim = [&obj](const char *key, int64_t fallback) {
+        const auto v = obj.has(key) ? obj.getInt(key) : fallback;
+        if (!v || *v < 1 || *v > kMaxDeviceQubits)
+            fatal(std::string("bad '") + key + "' (integer in [1, " +
+                  std::to_string(kMaxDeviceQubits) + "])");
+        return int(*v);
+    };
+    const auto area = [](int rows, int cols) {
+        if (int64_t(rows) * cols > kMaxDeviceQubits)
+            fatal("bad 'rows' x 'cols' (at most " +
+                  std::to_string(kMaxDeviceQubits) + " qubits)");
+    };
     const std::string kind = obj.getString("topology").value_or("grid");
     graph::Topology topo;
     if (kind == "grid" || kind == "trigrid") {
         auto [r, c] = dev::Device::gridDimsForQubits(default_qubits);
-        const int rows = int(obj.getInt("rows").value_or(r));
-        const int cols = int(obj.getInt("cols").value_or(c));
+        const int rows = dim("rows", r);
+        const int cols = dim("cols", c);
+        area(rows, cols);
         topo = kind == "grid"
                    ? graph::gridTopology(rows, cols)
                    : graph::triangulatedGridTopology(rows, cols);
     } else if (kind == "heavyhex") {
-        const int rows = int(obj.getInt("rows").value_or(1));
-        const int cols = int(obj.getInt("cols").value_or(1));
+        const int rows = dim("rows", 1);
+        const int cols = dim("cols", 1);
+        area(rows, cols);
         topo = graph::heavyHexTopology(rows, cols);
     } else if (kind == "line") {
-        topo = graph::lineTopology(
-            int(obj.getInt("size").value_or(default_qubits)));
+        topo = graph::lineTopology(dim("size", default_qubits));
     } else if (kind == "ring") {
-        topo = graph::ringTopology(
-            int(obj.getInt("size").value_or(default_qubits)));
+        topo = graph::ringTopology(dim("size", default_qubits));
     } else {
         fatal("unknown topology '" + kind +
               "' (one of: grid, line, ring, heavyhex, trigrid)");
     }
+    if (topo.g.numVertices() > kMaxDeviceQubits)
+        fatal("device of " + std::to_string(topo.g.numVertices()) +
+              " qubits (at most " + std::to_string(kMaxDeviceQubits) +
+              ")");
     return topo;
 }
 
 std::shared_ptr<const dev::Device>
 Server::deviceFor(const JsonObject &obj, int circuit_qubits)
 {
-    const uint64_t device_seed =
-        uint64_t(obj.getInt("device_seed").value_or(7));
+    const uint64_t device_seed = seedField(obj, "device_seed", 7);
     constexpr int64_t kMaxEpoch = 4096;
     const int64_t calib_epoch = obj.getInt("calib_epoch").value_or(0);
     if (calib_epoch < 0 || calib_epoch > kMaxEpoch)

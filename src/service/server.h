@@ -67,6 +67,10 @@ class JsonObject;
  *  not bump it). */
 inline constexpr int kProtocolVersion = 1;
 
+/** Most qubits a device built from a request or calibrate line may
+ *  hold (4x the largest circuit a request may ask for). */
+inline constexpr int kMaxDeviceQubits = 1024;
+
 /** Server construction knobs (the compile_server flag surface). */
 struct ServerConfig
 {
@@ -229,7 +233,9 @@ class Server
      * Build the topology a request object names ("topology" plus
      * rows/cols/size, defaulting dimensions from @p default_qubits).
      * The topology half of deviceFor(), shared with the calibrate
-     * verb.  Throws UserError on bad parameters.
+     * verb.  Throws UserError, naming the field, on a dimension
+     * outside [1, kMaxDeviceQubits] or a device of more than
+     * kMaxDeviceQubits qubits.
      */
     graph::Topology topologyFor(const JsonObject &obj,
                                 int default_qubits);

@@ -209,6 +209,67 @@ TEST(JsonTest, DocumentSizeIsBounded)
     EXPECT_NE(errorOf(text).find("document longer than"), std::string::npos);
 }
 
+TEST(JsonTest, CallerBoundReplacesTheDefault)
+{
+    std::string text(kMaxDocumentBytes + 1, ' ');
+    text[0] = '1';
+    EXPECT_FALSE(parse(text).has_value());
+    EXPECT_TRUE(parse(text, nullptr, text.size()).has_value());
+    EXPECT_FALSE(parse("[1,2]", nullptr, 4).has_value());
+}
+
+TEST(JsonTest, CursorWalksAFixedSchema)
+{
+    const std::string text =
+        R"({"a":1,"b":[true,false],"c":"x","d":["inf",-0.5]} )";
+    Cursor c(text);
+    int64_t a = 0;
+    bool t = false, f = true;
+    std::string s;
+    double inf = 0.0, half = 0.0;
+    ASSERT_TRUE(c.beginObject());
+    EXPECT_FALSE(c.tryKey("b")); // the next key is "a": nothing consumed
+    ASSERT_TRUE(c.key("a") && c.integer(a, 0, 9));
+    ASSERT_TRUE(c.key("b") && c.beginArray());
+    ASSERT_TRUE(c.more() && c.boolean(t) && c.more() && c.boolean(f));
+    EXPECT_FALSE(c.more()); // the ']'
+    ASSERT_TRUE(c.key("c") && c.string(s));
+    ASSERT_TRUE(c.key("d") && c.beginArray() && c.more() && c.real(inf) &&
+                c.more() && c.real(half));
+    EXPECT_FALSE(c.more());
+    EXPECT_TRUE(c.endObject() && c.end() && c.ok());
+    EXPECT_EQ(a, 1);
+    EXPECT_TRUE(t);
+    EXPECT_FALSE(f);
+    EXPECT_EQ(s, "x");
+    EXPECT_EQ(inf, std::numeric_limits<double>::infinity());
+    EXPECT_EQ(half, -0.5);
+}
+
+TEST(JsonTest, CursorFailsOnAnyOtherToken)
+{
+    const auto walk = [](std::string_view text, size_t bound = 64) {
+        Cursor c(text, bound);
+        int64_t v = 0;
+        bool walked = c.beginObject() && c.key("n") && c.beginArray();
+        while (walked && c.more())
+            walked = c.integer(v, 0, 9);
+        return walked && c.ok() && c.endObject() && c.end();
+    };
+    EXPECT_TRUE(walk(R"({"n":[1,2]})"));
+    EXPECT_TRUE(walk(R"({"n":[]})"));
+    EXPECT_FALSE(walk(R"({"n":[1,2]})", 8));     // over the bound
+    EXPECT_FALSE(walk(R"({"n":[1,,2]})"));       // empty element
+    EXPECT_FALSE(walk(R"({"n":[1,2,]})"));       // trailing comma
+    EXPECT_FALSE(walk(R"({"n":[1 2]})"));        // missing comma
+    EXPECT_FALSE(walk(R"({"n":[10]})"));         // out of range
+    EXPECT_FALSE(walk(R"({"n":[1.5]})"));        // not an integer
+    EXPECT_FALSE(walk(R"({"m":[1]})"));          // another key
+    EXPECT_FALSE(walk(R"({"n":[1],"x":2})"));    // an extra member
+    EXPECT_FALSE(walk(R"({"n":[1]} x)"));        // trailing content
+    EXPECT_FALSE(walk(R"({"n":[1])"));           // truncated
+}
+
 TEST(JsonTest, ErrorsCarryByteOffsets)
 {
     EXPECT_EQ(errorOf(""), "expected a value at byte offset 0");

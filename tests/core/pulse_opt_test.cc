@@ -176,64 +176,6 @@ TEST(PulseOptTest, SharedLibrarySurvivesCacheClear)
     EXPECT_EQ(rebuilt->name(), gau->name());
 }
 
-TEST(PulseOptTest, DraggedLibraryIsMemoizedPerAnharmonicity)
-{
-    clearPulseLibraryCache();
-    const double alpha = -mhz(300.0);
-    auto a = getDraggedLibraryShared(PulseMethod::Gaussian, alpha);
-    auto b = getDraggedLibraryShared(PulseMethod::Gaussian, alpha);
-    ASSERT_NE(a, nullptr);
-    // Same (method, alpha) -> the same shared variant.
-    EXPECT_EQ(a.get(), b.get());
-    // A different calibrated anharmonicity is a different variant.
-    auto c = getDraggedLibraryShared(PulseMethod::Gaussian,
-                                     -mhz(250.0));
-    EXPECT_NE(a.get(), c.get());
-    EXPECT_THROW(getDraggedLibraryShared(PulseMethod::Gaussian, 0.0),
-                 UserError);
-
-    // The DRAG correction adds the derivative quadrature but must
-    // not change durations (schedules depend on them).
-    const auto base = getPulseLibraryShared(PulseMethod::Gaussian);
-    const pulse::PulseProgram &sx_base =
-        base->get(pulse::PulseGate::SX);
-    const pulse::PulseProgram &sx_drag = a->get(pulse::PulseGate::SX);
-    EXPECT_EQ(sx_drag.duration, sx_base.duration);
-    ASSERT_NE(sx_drag.y_a, nullptr);
-    // y' = -x'(t)/alpha: nonzero off the Gaussian peak.
-    EXPECT_NE(sx_drag.y_a->value(5.0), 0.0);
-    EXPECT_NEAR(sx_drag.y_a->value(5.0),
-                -sx_base.x_a->derivative(5.0) / alpha, 1e-12);
-    clearPulseLibraryCache();
-}
-
-TEST(PulseOptTest, PerQubitLibrariesFollowTheSnapshot)
-{
-    clearPulseLibraryCache();
-    // Uniform device: every qubit aliases one variant.
-    Rng rng(3);
-    const dev::Device uniform(graph::gridTopology(2, 2),
-                              dev::DeviceParams{}, rng);
-    auto libs =
-        perQubitPulseLibraries(PulseMethod::Gaussian, uniform);
-    ASSERT_EQ(int(libs.size()), uniform.numQubits());
-    for (const auto &lib : libs)
-        EXPECT_EQ(lib.get(), libs[0].get());
-
-    // Heterogeneous snapshot: distinct anharmonicities get distinct
-    // variants, equal ones still share.
-    dev::Calibration calib = uniform.calibration();
-    calib.anharmonicity[1] = -mhz(290.0);
-    calib.anharmonicity[2] = -mhz(290.0);
-    const dev::Device hetero = uniform.withCalibration(calib);
-    auto hlibs =
-        perQubitPulseLibraries(PulseMethod::Gaussian, hetero);
-    EXPECT_NE(hlibs[1].get(), hlibs[0].get());
-    EXPECT_EQ(hlibs[2].get(), hlibs[1].get());
-    EXPECT_EQ(hlibs[3].get(), hlibs[0].get());
-    clearPulseLibraryCache();
-}
-
 TEST(PulseOptTest, DeviceCalibratedObjectiveReadsSnapshotZz)
 {
     // The calibrated defaults read the snapshot's per-edge ZZ rates:

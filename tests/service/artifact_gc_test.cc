@@ -13,6 +13,7 @@
 #include <fstream>
 #include <string>
 
+#include "service/artifact.h"
 #include "service/artifact_gc.h"
 #include "service/fingerprint.h"
 
@@ -49,19 +50,22 @@ class ArtifactGcTest : public ::testing::Test
         return Fingerprint{0x1000 + i, 0x2000 + i};
     }
 
-    /** Write a fake artifact file: a real-looking 4-line header (the
-     *  GC parses calib_epoch out of it when adopting) padded to
-     *  @p bytes, with mtime @p age in the past. */
+    /** Write a fake artifact file: a JSON document with the version
+     *  and calib_epoch members (the GC reads calib_epoch out of it
+     *  when adopting) padded with trailing whitespace to @p bytes,
+     *  with mtime @p age in the past. */
     void
     writeArtifact(const Fingerprint &key, size_t bytes, uint64_t epoch,
                   std::chrono::seconds age = 0s)
     {
         const fs::path path = fs::path(dir_) / (key.hex() + ".qzzprog");
-        std::string content = "qzzprog 2\npulse_method Gaussian\n"
-                              "sched_policy ZZXSched\ncalib_epoch " +
-                              std::to_string(epoch) + "\n";
+        std::string content =
+            "{\"qzzprog\":" + std::to_string(kArtifactVersion) +
+            ",\"pulse_method\":\"Gaussian\",\"sched_policy\":"
+            "\"ZZXSched\",\"calib_epoch\":" +
+            std::to_string(epoch) + "}\n";
         if (content.size() < bytes)
-            content.resize(bytes, '#');
+            content.resize(bytes, ' ');
         std::ofstream(path) << content;
         if (age.count() > 0)
             fs::last_write_time(

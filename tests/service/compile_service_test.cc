@@ -474,23 +474,6 @@ TEST(CompileServiceTest, UseCacheFalseNeverCoalesces)
     EXPECT_EQ(service.metrics().coalesced, 0u);
 }
 
-TEST(CompileServiceTest, CoalescingDisabledStillServes)
-{
-    CompileServiceConfig config = serviceConfig(2, /*paused=*/true);
-    config.coalesce = false;
-    auto device = makeDevice();
-    CompileService service(config);
-    RequestHandle a = service.submit(qftRequest(device));
-    RequestHandle b = service.submit(qftRequest(device));
-    service.resume();
-    ServiceResult ra = a.get();
-    ServiceResult rb = b.get();
-    ASSERT_TRUE(ra.ok() && rb.ok());
-    EXPECT_EQ(programArtifactString(*ra.program),
-              programArtifactString(*rb.program));
-    EXPECT_EQ(service.metrics().coalesced, 0u);
-}
-
 TEST(CompileServiceTest, WarmRequestsJumpAheadOfColdOnes)
 {
     // Cache-aware admission: a request whose fingerprint is already
@@ -560,61 +543,37 @@ TEST(CompileServiceTest, ColdRequestsBatchPerCompilerKey)
 
 TEST(CompileServiceTest, ColdBatchLimitBoundsGroupStickiness)
 {
-    // With cold_batch_limit = 1 the same interleaved workload is
-    // served oldest-head-first — global FIFO across the groups —
-    // instead of group A monopolizing the worker.
+    // Group A holds one request more than kColdBatchLimit, interleaved
+    // with group B.  The sticky batch serves A's first kColdBatchLimit
+    // requests, then rotates to the oldest waiting head — B's first
+    // request, older than A's last — instead of letting A run on.
     auto device = makeDevice();
     core::CompileOptions zzx = gaussianZzx();
     core::CompileOptions seq = gaussianZzx();
     seq.sched = core::SchedPolicy::Par;
 
-    CompileServiceConfig config = serviceConfig(1, /*paused=*/true);
-    config.cold_batch_limit = 1;
-    CompileService service(config);
-    std::vector<RequestHandle> handles;
-    for (int i = 0; i < 2; ++i) {
-        CompileRequest ra{ckt::qft(6), device, zzx, {}};
+    CompileService service(serviceConfig(1, /*paused=*/true));
+    std::vector<RequestHandle> a, b;
+    for (int i = 0; i <= kColdBatchLimit; ++i) {
+        CompileRequest ra{ckt::qft(4), device, zzx, {}};
         ra.request.use_cache = false;
-        handles.push_back(service.submit(std::move(ra)));
-        CompileRequest rb{ckt::qft(6), device, seq, {}};
+        a.push_back(service.submit(std::move(ra)));
+        CompileRequest rb{ckt::qft(4), device, seq, {}};
         rb.request.use_cache = false;
-        handles.push_back(service.submit(std::move(rb)));
+        b.push_back(service.submit(std::move(rb)));
     }
     service.resume();
 
-    uint64_t prev = 0;
-    for (RequestHandle &h : handles) {
-        const uint64_t cseq = h.get().completion_seq;
-        EXPECT_GT(cseq, prev);
-        prev = cseq;
-    }
-}
-
-TEST(CompileServiceTest, CacheAwareOffRestoresStrictFifo)
-{
-    // The degenerate mode: warm requests wait their turn like
-    // everything else.
-    auto device = makeDevice();
-    CompileService oracle(serviceConfig(1));
-    ServiceResult seeded = oracle.submit(qftRequest(device)).get();
-    ASSERT_EQ(seeded.outcome, Outcome::Compiled);
-
-    CompileServiceConfig config = serviceConfig(1, /*paused=*/true);
-    config.cache_aware_admission = false;
-    CompileService service(config);
-    service.cache().insert(seeded.fingerprint, seeded.program);
-
-    Rng rng(1);
-    RequestHandle cold = service.submit(
-        {ckt::hiddenShift(6, rng), device, gaussianZzx(), {}});
-    RequestHandle warm = service.submit(qftRequest(device));
-    service.resume();
-
-    ServiceResult cold_result = cold.get();
-    ServiceResult warm_result = warm.get();
-    EXPECT_EQ(warm_result.outcome, Outcome::CacheHit);
-    EXPECT_LT(cold_result.completion_seq, warm_result.completion_seq);
-    EXPECT_EQ(service.metrics().warm_boosted, 0u);
+    std::vector<uint64_t> a_seq;
+    for (RequestHandle &h : a)
+        a_seq.push_back(h.get().completion_seq);
+    const uint64_t first_b = b.front().get().completion_seq;
+    for (size_t i = 1; i < a_seq.size(); ++i)
+        EXPECT_GT(a_seq[i], a_seq[i - 1]);
+    EXPECT_LT(a_seq[kColdBatchLimit - 1], first_b);
+    EXPECT_GT(a_seq[kColdBatchLimit], first_b);
+    for (size_t i = 1; i < b.size(); ++i)
+        b[i].get();
 }
 
 TEST(CompileServiceTest, OutcomeNamesRoundTripForDisplay)

@@ -15,9 +15,12 @@
 #include <vector>
 
 #include "circuit/benchmarks.h"
+#include "common/json.h"
 #include "core/compiler.h"
 #include "graph/topologies.h"
 #include "service/artifact.h"
+#include "service/compile_service.h"
+#include "service/fingerprint.h"
 #include "service/program_cache.h"
 
 namespace qzz::svc {
@@ -192,39 +195,149 @@ TEST_F(ProgramCacheDiskTest, ArtifactTierSurvivesRestart)
 
 TEST_F(ProgramCacheDiskTest, TornArtifactIsTreatedAsMiss)
 {
+    // A document cut off mid-member, as a crash between open and
+    // write could leave behind without the temp-then-rename.
     const Fingerprint fp = key(7);
+    const std::string text = programArtifactString(*makeProgram(7));
     std::filesystem::create_directories(dir_);
-    std::ofstream(dir_ / (fp.hex() + ".qzzprog")) << "qzzprog 999 junk";
-    ProgramCache cache(
-        cacheConfig(4, 1, dir_.string()));
+    std::ofstream(dir_ / (fp.hex() + ".qzzprog"))
+        << text.substr(0, text.size() / 2);
+    ProgramCache cache(cacheConfig(4, 1, dir_.string()));
     EXPECT_EQ(cache.lookup(fp), nullptr);
     EXPECT_EQ(cache.stats().misses, 1u);
 }
 
 TEST_F(ProgramCacheDiskTest, CorruptCountFieldsAreMissesNotCrashes)
 {
-    // A negative count streams into size_t as 2^64-1: the parser
-    // must reject it (bounded reads), never resize() to it.
+    // Counts are array lengths in the JSON document, and every number
+    // is range-checked before it is narrowed: an operand list off the
+    // kind's arity, a negative or huge operand, a count-like member
+    // of the wrong type — each a nullopt, never a resize() to it.
     const auto program = makeProgram(3);
-    std::string text = programArtifactString(*program);
-    const std::string good = "g 0 1 0 0";
-    ASSERT_NE(text.find(good), std::string::npos);
-    text.replace(text.find(good), good.size(), "g 0 -1 0 0");
-    std::istringstream in(text);
-    EXPECT_FALSE(readProgramArtifact(in, false).has_value());
+    const std::string text = programArtifactString(*program);
+    const std::string good = R"("qubits":[0])";
+    ASSERT_NE(text.find(good), std::string::npos) << text;
+    const auto mangled = [&](const std::string &what) {
+        std::string out = text;
+        out.replace(out.find(good), good.size(), what);
+        return out;
+    };
+    for (const std::string &bad :
+         {mangled(R"("qubits":[0,0])"), mangled(R"("qubits":[-1])"),
+          mangled(R"("qubits":[18446744073709551616])"),
+          mangled(R"("qubits":1)"), mangled(R"("qubits":[1e999])")}) {
+        std::istringstream in(bad);
+        EXPECT_FALSE(readProgramArtifact(in, false).has_value()) << bad;
+    }
 
     // And through the cache's disk tier: a miss, not a dead worker.
     const Fingerprint fp = key(9);
     std::filesystem::create_directories(dir_);
-    std::ofstream(dir_ / (fp.hex() + ".qzzprog")) << text;
+    std::ofstream(dir_ / (fp.hex() + ".qzzprog"))
+        << mangled(R"("qubits":[-1])");
     ProgramCache cache(cacheConfig(4, 1, dir_.string()));
     EXPECT_EQ(cache.lookup(fp), nullptr);
 
-    // Huge-but-parseable counts are equally rejected.
-    std::istringstream huge(
-        "qzzprog 2\npulse_method Gaussian\nsched_policy ParSched\n"
-        "calib_epoch 0\nnative 2 0 \n184467440737095516\n");
-    EXPECT_FALSE(readProgramArtifact(huge, false).has_value());
+    // A huge native register costs nothing: the decoder allocates
+    // nothing ahead of the elements actually present.
+    std::string huge = text;
+    const std::string qubits = R"("qubits":1,)";
+    ASSERT_NE(huge.find(qubits), std::string::npos);
+    huge.replace(huge.find(qubits), qubits.size(),
+                 R"("qubits":2147483647,)");
+    std::istringstream in(huge);
+    const auto back = readProgramArtifact(in, false);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->native.numQubits(), 2147483647);
+}
+
+TEST_F(ProgramCacheDiskTest, UnreadableArtifactIsReplacedByTheRecompile)
+{
+    // A version-2 text artifact (what an older build left in the
+    // directory) under the request's fingerprint: the lookup misses,
+    // the request compiles, and the recompiled program's write
+    // replaces the file, so a fresh process gets a disk hit.
+    Rng rng(2);
+    auto device = std::make_shared<const dev::Device>(
+        graph::gridTopology(2, 2), dev::DeviceParams{}, rng);
+    CompileRequest request;
+    request.circuit = ckt::qft(4);
+    request.device = device;
+    request.options.pulse = core::PulseMethod::Gaussian;
+    request.options.sched = core::SchedPolicy::Zzx;
+    const Fingerprint fp = fingerprintRequest(
+        request.circuit, *request.device, request.options);
+    std::filesystem::create_directories(dir_);
+    const auto path = dir_ / (fp.hex() + ".qzzprog");
+    std::ofstream(path) << "qzzprog 2\npulse_method Gaussian\n"
+                           "sched_policy ZZXSched\ncalib_epoch 0\n";
+
+    CompileServiceConfig config;
+    config.num_workers = 1;
+    config.cache = cacheConfig(4, 1, dir_.string());
+    std::shared_ptr<const core::CompiledProgram> compiled;
+    {
+        CompileService service(config);
+        ServiceResult result = service.submit(request).get();
+        ASSERT_EQ(result.outcome, Outcome::Compiled);
+        EXPECT_EQ(result.fingerprint, fp);
+        EXPECT_EQ(service.cache().stats().disk_writes, 1u);
+        compiled = result.program;
+    }
+
+    ProgramCache restarted(cacheConfig(4, 1, dir_.string()));
+    const auto loaded = restarted.lookup(fp);
+    ASSERT_NE(loaded, nullptr);
+    EXPECT_EQ(restarted.stats().disk_hits, 1u);
+    EXPECT_EQ(programArtifactString(*loaded),
+              programArtifactString(*compiled));
+}
+
+TEST_F(ProgramCacheDiskTest, ArtifactAboveTheJsonDefaultBoundRoundTrips)
+{
+    // A synthetic program whose artifact is past the JSON reader's
+    // 4 MiB default but within kMaxArtifactBytes: it persists and
+    // reloads bit-identically.
+    constexpr int kQubits = 64;
+    core::CompiledProgram p;
+    p.native = ckt::QuantumCircuit(kQubits, "wide");
+    p.schedule.num_qubits = kQubits;
+    p.pulse_method = core::PulseMethod::Gaussian;
+    p.sched_policy = core::SchedPolicy::Zzx;
+    Rng rng(4);
+    for (int l = 0; l < 3500; ++l) {
+        core::Layer layer;
+        layer.duration = rng.uniform(10.0, 60.0);
+        for (int q = 0; q < kQubits; ++q) {
+            layer.side.push_back(rng.uniformInt(0, 1));
+            layer.metrics.region_of.push_back(rng.uniformInt(0, 40));
+            layer.metrics.unsuppressed_edge.push_back(
+                char(rng.uniformInt(0, 1)));
+        }
+        for (int q = 0; q + 1 < kQubits; q += 8) {
+            const ckt::Gate g(ckt::GateKind::RZ, {q}, {rng.uniform()});
+            p.native.add(g);
+            layer.gates.push_back({g, false});
+        }
+        p.schedule.layers.push_back(std::move(layer));
+    }
+    auto program =
+        std::make_shared<const core::CompiledProgram>(std::move(p));
+    const std::string text = programArtifactString(*program);
+    ASSERT_GT(text.size(), json::kMaxDocumentBytes);
+    ASSERT_LE(text.size(), kMaxArtifactBytes);
+
+    const Fingerprint fp = key(77);
+    {
+        ProgramCache cache(cacheConfig(4, 1, dir_.string()));
+        cache.insert(fp, program);
+        EXPECT_EQ(cache.stats().disk_writes, 1u);
+    }
+    ProgramCache restarted(cacheConfig(4, 1, dir_.string()));
+    const auto loaded = restarted.lookup(fp);
+    ASSERT_NE(loaded, nullptr);
+    EXPECT_EQ(restarted.stats().disk_hits, 1u);
+    EXPECT_EQ(programArtifactString(*loaded), text);
 }
 
 TEST_F(ProgramCacheDiskTest, ArtifactRoundTripWithoutLibrary)

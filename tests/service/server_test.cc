@@ -27,6 +27,10 @@
 #include <unistd.h>
 
 #include "common/error.h"
+#include "common/rng.h"
+#include "device/calibration.h"
+#include "graph/topologies.h"
+#include "service/jsonl.h"
 #include "service/server.h"
 #include "service/transport.h"
 
@@ -146,6 +150,74 @@ TEST(ServerSessionTest, DeadlineAndPriorityAreBoundedBeforeConversion)
         "range)\"}";
     EXPECT_EQ(out[3], "{\"id\":\"p1" + bad_priority);
     EXPECT_EQ(out[4], "{\"id\":\"p2" + bad_priority);
+}
+
+TEST(ServerSessionTest, TopologyAndSeedFieldsAreBoundedBeforeConversion)
+{
+    // 2^32 + 2 rows would narrow to a 2-row grid, 256 x 256 would
+    // build a 65 536-qubit device, and a negative seed would wrap to
+    // a huge uint64: each is an error line naming the field.
+    const auto request = [](const std::string &id,
+                            const std::string &fields) {
+        return "{\"id\":\"" + id +
+               "\",\"benchmark\":\"QFT\",\"qubits\":4," + fields + "}\n";
+    };
+    Rng rng(3);
+    const dev::Calibration line4 = dev::Calibration::sampled(
+        graph::lineTopology(4), dev::DeviceParams{}, rng);
+    const std::string snapshot =
+        "{\"cmd\":\"calibrate\",\"snapshot\":\"" +
+        jsonEscape(dev::calibrationJsonString(line4)) + "\"";
+    const auto [out, quit] = runTranscript(
+        request("r1", "\"rows\":4294967298") +
+        request("r2", "\"rows\":256,\"cols\":256") +
+        request("r3", "\"topology\":\"line\",\"size\":0") +
+        request("r4", "\"topology\":\"ring\",\"size\":1025") +
+        request("r5", "\"topology\":\"heavyhex\",\"rows\":32,\"cols\":32") +
+        request("r6", "\"cols\":\"wide\"") +
+        request("s1", "\"seed\":-1") + request("s2", "\"seed\":1.5") +
+        request("s3", "\"device_seed\":-7") + snapshot +
+        ",\"topology\":\"line\",\"size\":4,\"device_seed\":-1}\n" +
+        snapshot + ",\"topology\":\"line\",\"size\":4294967300}\n");
+    ASSERT_EQ(out.size(), 11u);
+    const auto bad = [](const std::string &id, const std::string &error) {
+        return "{\"id\":\"" + id + "\",\"ok\":false,\"error\":\"" + error +
+               "\"}";
+    };
+    EXPECT_EQ(out[0], bad("r1", "bad 'rows' (integer in [1, 1024])"));
+    EXPECT_EQ(out[1], bad("r2", "bad 'rows' x 'cols' (at most 1024 "
+                                "qubits)"));
+    EXPECT_EQ(out[2], bad("r3", "bad 'size' (integer in [1, 1024])"));
+    EXPECT_EQ(out[3], bad("r4", "bad 'size' (integer in [1, 1024])"));
+    EXPECT_TRUE(startsWith(out[4], "{\"id\":\"r5\",\"ok\":false,"
+                                   "\"error\":\"device of "))
+        << out[4];
+    EXPECT_NE(out[4].find(" qubits (at most 1024)\"}"), std::string::npos)
+        << out[4];
+    EXPECT_EQ(out[5], bad("r6", "bad 'cols' (integer in [1, 1024])"));
+    EXPECT_EQ(out[6], bad("s1", "bad 'seed' (non-negative integer)"));
+    EXPECT_EQ(out[7], bad("s2", "bad 'seed' (non-negative integer)"));
+    EXPECT_EQ(out[8],
+              bad("s3", "bad 'device_seed' (non-negative integer)"));
+    EXPECT_EQ(out[9], "{\"calibrate\":true,\"applied\":false,\"error\":"
+                      "\"bad 'device_seed' (non-negative integer)\"}");
+    EXPECT_EQ(out[10], "{\"calibrate\":true,\"applied\":false,\"error\":"
+                       "\"bad 'size' (integer in [1, 1024])\"}");
+}
+
+TEST(ServerSessionTest, InRangeTopologyAndSeedFieldsAreServed)
+{
+    const auto [out, quit] = runTranscript(
+        "{\"id\":\"a\",\"benchmark\":\"QFT\",\"qubits\":3,"
+        "\"topology\":\"line\",\"size\":5,\"seed\":0,"
+        "\"device_seed\":0}\n"
+        "{\"id\":\"b\",\"benchmark\":\"QFT\",\"qubits\":3,"
+        "\"topology\":\"heavyhex\",\"rows\":1,\"cols\":1}\n");
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_TRUE(startsWith(out[0], "{\"id\":\"a\",\"ok\":true,"))
+        << out[0];
+    EXPECT_TRUE(startsWith(out[1], "{\"id\":\"b\",\"ok\":true,"))
+        << out[1];
 }
 
 TEST(ServerSessionTest, InRangeDeadlineAndPriorityAreServed)
