@@ -47,12 +47,18 @@ integral(double v, int64_t lo, int64_t hi)
     return i;
 }
 
-/** Token scanning shared by the tree reader and Cursor: the position,
- *  the first failure, and the scalar lexers. */
-class Lexer
+/**
+ * The one structural walker under parse() and Cursor: token scanning,
+ * the open containers (bounded at kMaxDepth) and the first failure.
+ * The structural calls skip the whitespace before their token and
+ * return false once the walk has failed; the scalar lexers start at
+ * the current byte.
+ */
+struct Walker
 {
-  public:
-    explicit Lexer(std::string_view text) : text_(text) {}
+    explicit Walker(std::string_view text) : text_(text) {}
+
+    bool ok() const { return what_.empty(); }
 
     std::string
     error() const
@@ -62,21 +68,14 @@ class Lexer
         return what_ + in + " at byte offset " + std::to_string(at_);
     }
 
-    bool
-    fits(size_t max_bytes)
-    {
-        if (text_.size() <= max_bytes)
-            return true;
-        pos_ = max_bytes;
-        return fail("document longer than " + std::to_string(max_bytes) +
-                    " bytes");
-    }
-
+    /** Records the first failure, at the current position. */
     bool
     fail(std::string what)
     {
-        what_ = std::move(what);
-        at_ = pos_;
+        if (ok()) {
+            what_ = std::move(what);
+            at_ = pos_;
+        }
         return false;
     }
 
@@ -91,12 +90,97 @@ class Lexer
         return true;
     }
 
-    void
-    skipSpace()
+    /** Skips whitespace; false once the walk has failed. */
+    bool
+    next()
     {
         while (consume(' ') || consume('\t') || consume('\n') ||
                consume('\r')) {
         }
+        return ok();
+    }
+
+    /** Opens a container: @p c is '{' or '['. */
+    bool
+    open(char c)
+    {
+        if (!next())
+            return false;
+        if (peek() != c)
+            return fail(std::string("expected '") + c + "'");
+        if (frames_.size() == size_t(kMaxDepth))
+            return fail("nesting deeper than " + std::to_string(kMaxDepth));
+        ++pos_;
+        frames_.push_back({c == '{' ? '}' : ']', true});
+        return true;
+    }
+
+    /** Closes the innermost container with @p c, its closing bracket. */
+    bool
+    close(char c)
+    {
+        if (!next())
+            return false;
+        if (frames_.empty() || frames_.back().close != c || !consume(c))
+            return fail(std::string("expected '") + c + "'");
+        frames_.pop_back();
+        return true;
+    }
+
+    /**
+     * Steps to the next item of the innermost container, whose closing
+     * bracket is @p c: false at @p c, which it consumes, or on failure;
+     * otherwise true, past the ',' that separates the item from the
+     * one before.
+     */
+    bool
+    item(char c)
+    {
+        if (!next())
+            return false;
+        if (frames_.empty() || frames_.back().close != c)
+            return fail(c == ']' ? "not in an array" : "not in an object");
+        if (consume(c)) {
+            frames_.pop_back();
+            return false;
+        }
+        if (!frames_.back().first && !consume(','))
+            return fail(std::string("expected ',' or '") + c + "'");
+        frames_.back().first = false;
+        return next();
+    }
+
+    /** The next member's key into @p k, and its ':'; false at the
+     *  closing '}' or on failure (see item()). */
+    bool
+    member(std::string &k)
+    {
+        if (!item('}'))
+            return false;
+        key_at_ = pos_;
+        k.clear();
+        if (peek() != '"')
+            return fail("expected a string key");
+        if (!string(k) || !next())
+            return false;
+        return consume(':') || fail("expected ':'");
+    }
+
+    /** Only whitespace is left. */
+    bool
+    end()
+    {
+        return next() && ((frames_.empty() && pos_ == text_.size()) ||
+                          fail("trailing content"));
+    }
+
+    bool
+    literal(std::string_view word)
+    {
+        if (text_.substr(pos_, word.size()) != word)
+            return fail("malformed literal");
+        pos_ += word.size();
+        return true;
     }
 
     bool
@@ -136,6 +220,7 @@ class Lexer
         return true;
     }
 
+    /** A string literal; the caller has seen its opening quote. */
     bool
     string(std::string &out)
     {
@@ -182,105 +267,41 @@ class Lexer
         }
     }
 
+    struct Frame
+    {
+        char close;
+        /** Nothing read in the container yet. */
+        bool first;
+    };
+
     std::string_view text_;
     size_t pos_ = 0;
+    std::vector<Frame> frames_;
     std::string what_;
     size_t at_ = 0;
+    /** Where the last member() key began. */
+    size_t key_at_ = 0;
     /** Key of the innermost member whose value failed. */
     std::string context_;
 };
 
-/** Recursive-descent reader of one document into a Value tree. */
-class Reader : public Lexer
+/** One value of any kind into @p out, recursively. */
+bool
+readValue(Walker &w, Value &out)
 {
-  public:
-    using Lexer::Lexer;
-
-    bool
-    document(Value &out, size_t max_bytes)
-    {
-        if (!fits(max_bytes))
-            return false;
-        skipSpace();
-        if (!value(out, 0))
-            return false;
-        skipSpace();
-        return pos_ == text_.size() || fail("trailing content");
-    }
-
-  private:
-    bool
-    value(Value &out, int depth)
-    {
-        const char c = peek();
-        if (c == '{' || c == '[') {
-            if (depth == kMaxDepth)
-                return fail("nesting deeper than " +
-                            std::to_string(kMaxDepth));
-            return c == '{' ? object(out, depth + 1) : array(out, depth + 1);
-        }
-        if (c == '"') {
-            std::string s;
-            if (!string(s))
-                return false;
-            out = Value(std::move(s));
-            return true;
-        }
-        if (c == 't' || c == 'f' || c == 'n') {
-            const std::string_view word = c == 't'   ? "true"
-                                          : c == 'f' ? "false"
-                                                     : "null";
-            if (text_.substr(pos_, word.size()) != word)
-                return fail("malformed literal");
-            pos_ += word.size();
-            out = c == 'n' ? Value() : Value(c == 't');
-            return true;
-        }
-        double v = 0.0;
-        if (!number(v))
-            return false;
-        out = Value(v);
-        return true;
-    }
-
-    bool
-    array(Value &out, int depth)
-    {
-        ++pos_; // '['
-        Array items;
-        skipSpace();
-        while (!consume(']')) {
-            if (!items.empty() && !consume(','))
-                return fail("expected ',' or ']'");
-            skipSpace();
-            if (!value(items.emplace_back(), depth))
-                return false;
-            skipSpace();
-        }
-        out = Value(std::move(items));
-        return true;
-    }
-
-    bool
-    object(Value &out, int depth)
-    {
-        ++pos_; // '{'
+    if (!w.next())
+        return false;
+    const char c = w.peek();
+    if (c == '{') {
         Object members;
         // Duplicate check: a linear scan while the object is narrow,
         // a hash index past that, so wide objects stay linear-time.
         constexpr size_t kLinearScan = 16;
         std::unordered_set<std::string> index;
-        skipSpace();
-        while (!consume('}')) {
-            if (!members.empty() && !consume(','))
-                return fail("expected ',' or '}'");
-            skipSpace();
-            const size_t key_at = pos_;
-            std::string key;
-            if (peek() != '"')
-                return fail("expected a string key");
-            if (!string(key))
-                return false;
+        std::string key;
+        if (!w.open('{'))
+            return false;
+        while (w.member(key)) {
             bool duplicate = false;
             if (members.size() < kLinearScan) {
                 for (const auto &member : members)
@@ -292,26 +313,52 @@ class Reader : public Lexer
                 duplicate = !index.insert(key).second;
             }
             if (duplicate) {
-                pos_ = key_at;
-                return fail("duplicate key '" + key + "'");
+                w.pos_ = w.key_at_;
+                return w.fail("duplicate key '" + key + "'");
             }
-            skipSpace();
-            if (!consume(':'))
-                return fail("expected ':'");
-            skipSpace();
             Value v;
-            if (!value(v, depth)) {
-                if (context_.empty())
-                    context_ = key;
+            if (!readValue(w, v)) {
+                if (w.context_.empty())
+                    w.context_ = key;
                 return false;
             }
             members.emplace_back(std::move(key), std::move(v));
-            skipSpace();
         }
         out = Value(std::move(members));
+        return w.ok();
+    }
+    if (c == '[') {
+        Array items;
+        if (!w.open('['))
+            return false;
+        while (w.item(']'))
+            if (!readValue(w, items.emplace_back()))
+                return false;
+        out = Value(std::move(items));
+        return w.ok();
+    }
+    if (c == '"') {
+        std::string s;
+        if (!w.string(s))
+            return false;
+        out = Value(std::move(s));
         return true;
     }
-};
+    if (c == 't' || c == 'f' || c == 'n') {
+        const std::string_view word = c == 't'   ? "true"
+                                      : c == 'f' ? "false"
+                                                 : "null";
+        if (!w.literal(word))
+            return false;
+        out = c == 'n' ? Value() : Value(c == 't');
+        return true;
+    }
+    double v = 0.0;
+    if (!w.number(v))
+        return false;
+    out = Value(v);
+    return true;
+}
 
 } // namespace
 
@@ -345,14 +392,19 @@ Value::asDouble() const
 }
 
 std::optional<Value>
-parse(std::string_view text, std::string *error, size_t max_bytes)
+parse(std::string_view text, std::string *error)
 {
-    Reader reader(text);
+    Walker w(text);
     Value out;
-    if (reader.document(out, max_bytes))
+    if (text.size() > kMaxDocumentBytes) {
+        w.pos_ = kMaxDocumentBytes;
+        w.fail("document longer than " + std::to_string(kMaxDocumentBytes) +
+               " bytes");
+    } else if (readValue(w, out) && w.end()) {
         return out;
+    }
     if (error != nullptr)
-        *error = reader.error();
+        *error = w.error();
     return std::nullopt;
 }
 
@@ -360,157 +412,88 @@ parse(std::string_view text, std::string *error, size_t max_bytes)
 // Cursor
 // ---------------------------------------------------------------------------
 
-struct Cursor::State : Lexer
+struct Cursor::State : Walker
 {
-    using Lexer::Lexer;
-
-    /** Fails the cursor unless @p ok. */
-    bool
-    check(bool ok)
-    {
-        failed = failed || !ok;
-        return ok;
-    }
-
-    /** Skips whitespace; false once the cursor has failed. */
-    bool
-    next()
-    {
-        skipSpace();
-        return !failed;
-    }
-
-    bool
-    open(char c)
-    {
-        if (!next() || !check(consume(c)))
-            return false;
-        first.push_back(true);
-        return true;
-    }
-
-    bool
-    close(char c)
-    {
-        if (!next() || !check(!first.empty() && consume(c)))
-            return false;
-        first.pop_back();
-        return true;
-    }
-
-    /** Per open container: nothing read in it yet. */
-    std::vector<bool> first;
-    bool failed = false;
+    using Walker::Walker;
 };
 
-Cursor::Cursor(std::string_view text, size_t max_bytes)
-    : state_(std::make_unique<State>(text))
+Cursor::Cursor(std::string_view text) : state_(std::make_unique<State>(text))
 {
-    state_->check(state_->fits(max_bytes));
 }
 
 Cursor::~Cursor() = default;
 
-bool Cursor::ok() const { return !state_->failed; }
+bool Cursor::ok() const { return state_->ok(); }
 bool Cursor::beginObject() { return state_->open('{'); }
 bool Cursor::endObject() { return state_->close('}'); }
 bool Cursor::beginArray() { return state_->open('['); }
+bool Cursor::more() { return state_->item(']'); }
+bool Cursor::end() { return state_->end(); }
 
 bool
 Cursor::tryKey(std::string_view k)
 {
-    State &s = *state_;
-    const size_t at = s.pos_;
-    if (!s.next() || s.first.empty())
+    Walker &w = *state_;
+    if (!w.next() || w.peek() == '}' || w.frames_.empty())
         return false;
-    bool match = s.first.back() || s.consume(',');
+    const size_t at = w.pos_;
+    const bool first = w.frames_.back().first;
     std::string name;
-    if (match) {
-        s.skipSpace();
-        match = s.peek() == '"' && s.string(name) && name == k;
-    }
-    if (!match) {
-        s.pos_ = at;
-        return false;
-    }
-    s.first.back() = false;
-    return s.next() && s.check(s.consume(':'));
+    if (!w.member(name) || name == k)
+        return w.ok();
+    w.pos_ = at;
+    w.frames_.back().first = first;
+    return false;
 }
 
 bool
 Cursor::key(std::string_view k)
 {
-    return tryKey(k) || state_->check(false);
-}
-
-bool
-Cursor::more()
-{
-    State &s = *state_;
-    if (!s.next() || !s.check(!s.first.empty()))
-        return false;
-    if (s.consume(']')) {
-        s.first.pop_back();
-        return false;
-    }
-    const bool separated = s.first.back() || s.check(s.consume(','));
-    s.first.back() = false;
-    return separated;
+    return tryKey(k) || state_->fail("expected key '" + std::string(k) + "'");
 }
 
 bool
 Cursor::boolean(bool &out)
 {
-    State &s = *state_;
-    if (!s.next())
-        return false;
-    out = s.peek() == 't';
-    const std::string_view word = out ? "true" : "false";
-    const bool match = s.text_.substr(s.pos_, word.size()) == word;
-    s.pos_ += match ? word.size() : 0;
-    return s.check(match);
+    Walker &w = *state_;
+    out = w.next() && w.peek() == 't';
+    return w.ok() && w.literal(out ? "true" : "false");
 }
 
 bool
 Cursor::integer(int64_t &out, int64_t lo, int64_t hi)
 {
     double v = 0.0;
-    if (!state_->next() || !state_->check(state_->number(v)))
+    if (!state_->next() || !state_->number(v))
         return false;
     const auto i = integral(v, lo, hi);
     out = i.value_or(0);
-    return state_->check(i.has_value());
+    return i.has_value() || state_->fail("integer out of range");
 }
 
 bool
 Cursor::real(double &out)
 {
-    State &s = *state_;
-    if (!s.next())
+    Walker &w = *state_;
+    if (!w.next())
         return false;
-    if (s.peek() != '"')
-        return s.check(s.number(out));
+    if (w.peek() != '"')
+        return w.number(out);
     std::string text;
     const auto v =
-        s.string(text) ? Value(std::move(text)).asDouble() : std::nullopt;
+        w.string(text) ? Value(std::move(text)).asDouble() : std::nullopt;
     out = v.value_or(0.0);
-    return s.check(v.has_value());
+    return v.has_value() || w.fail("expected a number");
 }
 
 bool
 Cursor::string(std::string &out)
 {
-    State &s = *state_;
+    Walker &w = *state_;
     out.clear();
-    return s.next() && s.check(s.peek() == '"' && s.string(out));
-}
-
-bool
-Cursor::end()
-{
-    State &s = *state_;
-    return s.next() &&
-           s.check(s.first.empty() && s.pos_ == s.text_.size());
+    if (!w.next())
+        return false;
+    return w.peek() == '"' ? w.string(out) : w.fail("expected a string");
 }
 
 // ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@
  * byte offset in the message: duplicate object keys, trailing content,
  * raw control characters inside strings, \u escapes outside ASCII,
  * numbers that round to infinity or to zero from a nonzero literal,
- * nesting deeper than kMaxDepth and documents longer than the
- * caller's bound (kMaxDocumentBytes unless it passes its own).
+ * nesting deeper than kMaxDepth and documents longer than
+ * kMaxDocumentBytes.
  * Numbers are read with std::from_chars, so every double the writer
  * emits reads back bit-exactly.  Raw UTF-8 passes through strings
  * unchanged.
@@ -19,8 +19,9 @@
  * those back.  Output is compact unless the writer is built pretty
  * (newlines and two-space indentation).
  *
- * Cursor.  A pull reader under the same grammar and size bound, for
- * fixed schemas read in member order without building a tree.
+ * Cursor.  A pull reader for fixed schemas read in member order
+ * without building a tree.  parse() is built on the same walker, so
+ * the two share one grammar and one depth bound.
  */
 
 #ifndef QZZ_COMMON_JSON_H
@@ -41,8 +42,7 @@
 
 namespace qzz::json {
 
-/** parse()'s default bound: longer documents are rejected before
- *  any parsing. */
+/** parse() rejects longer documents before reading them. */
 inline constexpr size_t kMaxDocumentBytes = size_t(4) << 20;
 /** Arrays and objects nest at most this deep. */
 inline constexpr int kMaxDepth = 64;
@@ -98,35 +98,33 @@ class Value
 };
 
 /**
- * Parse one document of at most @p max_bytes.  On failure returns
- * nullopt and, when @p error is non-null, stores "<what> at byte
- * offset <n>" (with the innermost object key in the message when the
- * failure is inside a member).
+ * Parse one document.  On failure returns nullopt and, when @p error
+ * is non-null, stores "<what> at byte offset <n>" (with the innermost
+ * object key in the message when the failure is inside a member).
  */
 std::optional<Value> parse(std::string_view text,
-                           std::string *error = nullptr,
-                           size_t max_bytes = kMaxDocumentBytes);
+                           std::string *error = nullptr);
 
 /**
  * Pull reader: walks one document token by token in the order the
  * caller expects, without building a tree, under parse()'s grammar
- * and size bound.  For fixed schemas whose documents are too large to
- * hold as a Value tree (the program artifact).  Each call consumes
- * one token with the separator before it and returns false when the
- * next token is not the one asked for; the cursor then stays failed,
- * except after the clean "no" of tryKey() and more().  Nesting is the
- * schema's to bound.
+ * and depth bound.  For fixed schemas whose documents are too large
+ * to hold as a Value tree (the program artifact); the caller bounds
+ * the document's size.  Each call consumes one token with the
+ * separator before it and returns false when the next token is not
+ * the one asked for; the cursor then stays failed, except after the
+ * clean "no" of tryKey() and more().
  */
 class Cursor
 {
   public:
-    explicit Cursor(std::string_view text,
-                    size_t max_bytes = kMaxDocumentBytes);
+    explicit Cursor(std::string_view text);
     ~Cursor();
 
     bool beginObject();
     /** The next member's key is @p k: consumes it and its ':' and
-     *  returns true.  Otherwise consumes nothing and returns false. */
+     *  returns true.  When it is another key or the object ends,
+     *  consumes nothing and returns false. */
     bool tryKey(std::string_view k);
     /** tryKey(), failing the cursor when the next key is another. */
     bool key(std::string_view k);

@@ -1,5 +1,6 @@
 #include "service/artifact.h"
 
+#include <algorithm>
 #include <istream>
 #include <limits>
 #include <vector>
@@ -128,22 +129,30 @@ readHeader(json::Cursor &c, core::CompiledProgram &program)
     return true;
 }
 
-/** The rest of the seekable stream @p is in one exactly sized
- *  buffer; nullopt past kMaxArtifactBytes, which is checked before
- *  anything is read. */
+/** The rest of @p is; nullopt past kMaxArtifactBytes, reading at
+ *  most one byte beyond it.  A stream that can seek (a file) tells
+ *  its size first, so the buffer is allocated once, exactly. */
 std::optional<std::string>
 readBounded(std::istream &is)
 {
+    std::string text;
     std::streambuf &buf = *is.rdbuf();
-    const auto start = buf.pubseekoff(0, std::ios::cur, std::ios::in);
-    const auto end = buf.pubseekoff(0, std::ios::end, std::ios::in);
-    if (start == -1 || end == -1 ||
-        size_t(end - start) > kMaxArtifactBytes ||
-        buf.pubseekpos(start, std::ios::in) == -1)
+    const auto here = buf.pubseekoff(0, std::ios::cur, std::ios::in);
+    const auto end = here == -1
+                         ? here
+                         : buf.pubseekoff(0, std::ios::end, std::ios::in);
+    if (end != -1 && buf.pubseekpos(here, std::ios::in) == here)
+        text.reserve(std::min(size_t(end - here), kMaxArtifactBytes + 1));
+    char chunk[size_t(64) << 10];
+    while (text.size() <= kMaxArtifactBytes) {
+        is.read(chunk, std::streamsize(std::min(
+                           sizeof chunk, kMaxArtifactBytes + 1 - text.size())));
+        if (is.gcount() == 0)
+            break;
+        text.append(chunk, size_t(is.gcount()));
+    }
+    if (text.size() > kMaxArtifactBytes)
         return std::nullopt;
-    std::string text(size_t(end - start), '\0');
-    is.read(text.data(), std::streamsize(text.size()));
-    text.resize(size_t(is.gcount()));
     return text;
 }
 
@@ -152,7 +161,7 @@ readBounded(std::istream &is)
 std::optional<core::CompiledProgram>
 decodeProgram(std::string_view text)
 {
-    json::Cursor c(text, kMaxArtifactBytes);
+    json::Cursor c(text);
     core::CompiledProgram program;
     int64_t num_qubits = 0, native_qubits = 0;
     std::string name;

@@ -37,9 +37,10 @@ namespace qzz::svc {
 inline constexpr int kArtifactVersion = 3;
 
 /**
- * Largest artifact the disk tier writes or reads.  Above the JSON
- * reader's 4 MiB default, since a QFT-24 artifact is already 1.7 MB;
- * a larger program is served from memory only.
+ * Largest artifact the disk tier writes or reads.  Above
+ * json::kMaxDocumentBytes, the bound on request lines, since a QFT-24
+ * artifact is already 4.3 MB; a larger program is served from memory
+ * only.
  */
 inline constexpr size_t kMaxArtifactBytes = size_t(16) << 20;
 
@@ -53,8 +54,8 @@ std::string programArtifactString(const core::CompiledProgram &program);
  * library when @p attach_library is false; otherwise the shared
  * calibration library for the recorded PulseMethod is re-attached via
  * getPulseLibraryShared().  Returns nullopt on malformed, oversized
- * or version-mismatched input, and on a stream that cannot seek (the
- * size bound is checked before anything is read).
+ * or version-mismatched input; at most kMaxArtifactBytes + 1 bytes
+ * are read.
  */
 std::optional<core::CompiledProgram>
 readProgramArtifact(std::istream &is, bool attach_library = true);

@@ -209,15 +209,6 @@ TEST(JsonTest, DocumentSizeIsBounded)
     EXPECT_NE(errorOf(text).find("document longer than"), std::string::npos);
 }
 
-TEST(JsonTest, CallerBoundReplacesTheDefault)
-{
-    std::string text(kMaxDocumentBytes + 1, ' ');
-    text[0] = '1';
-    EXPECT_FALSE(parse(text).has_value());
-    EXPECT_TRUE(parse(text, nullptr, text.size()).has_value());
-    EXPECT_FALSE(parse("[1,2]", nullptr, 4).has_value());
-}
-
 TEST(JsonTest, CursorWalksAFixedSchema)
 {
     const std::string text =
@@ -248,8 +239,8 @@ TEST(JsonTest, CursorWalksAFixedSchema)
 
 TEST(JsonTest, CursorFailsOnAnyOtherToken)
 {
-    const auto walk = [](std::string_view text, size_t bound = 64) {
-        Cursor c(text, bound);
+    const auto walk = [](std::string_view text) {
+        Cursor c(text);
         int64_t v = 0;
         bool walked = c.beginObject() && c.key("n") && c.beginArray();
         while (walked && c.more())
@@ -258,7 +249,6 @@ TEST(JsonTest, CursorFailsOnAnyOtherToken)
     };
     EXPECT_TRUE(walk(R"({"n":[1,2]})"));
     EXPECT_TRUE(walk(R"({"n":[]})"));
-    EXPECT_FALSE(walk(R"({"n":[1,2]})", 8));     // over the bound
     EXPECT_FALSE(walk(R"({"n":[1,,2]})"));       // empty element
     EXPECT_FALSE(walk(R"({"n":[1,2,]})"));       // trailing comma
     EXPECT_FALSE(walk(R"({"n":[1 2]})"));        // missing comma
@@ -268,6 +258,22 @@ TEST(JsonTest, CursorFailsOnAnyOtherToken)
     EXPECT_FALSE(walk(R"({"n":[1],"x":2})"));    // an extra member
     EXPECT_FALSE(walk(R"({"n":[1]} x)"));        // trailing content
     EXPECT_FALSE(walk(R"({"n":[1])"));           // truncated
+    EXPECT_FALSE(walk(R"({"n":{}})"));           // an object
+    EXPECT_FALSE(walk(R"({"n":[1}})"));          // mismatched bracket
+}
+
+TEST(JsonTest, CursorSharesTheDepthBound)
+{
+    const auto opens = [](int depth) {
+        const std::string text(size_t(depth), '[');
+        Cursor c(text);
+        for (int i = 0; i < depth; ++i)
+            if (!c.beginArray())
+                return false;
+        return true;
+    };
+    EXPECT_TRUE(opens(kMaxDepth));
+    EXPECT_FALSE(opens(kMaxDepth + 1));
 }
 
 TEST(JsonTest, ErrorsCarryByteOffsets)

@@ -205,6 +205,35 @@ TEST(ArtifactTest, OtherVersionsAndOversizedDocumentsAreRejected)
     EXPECT_FALSE(decodes(padded));
 }
 
+/** A read-only buffer over a string that cannot seek, like a pipe. */
+class PipeBuf : public std::streambuf
+{
+  public:
+    explicit PipeBuf(std::string text) : text_(std::move(text))
+    {
+        setg(text_.data(), text_.data(), text_.data() + text_.size());
+    }
+
+  private:
+    std::string text_;
+};
+
+TEST(ArtifactTest, StreamsThatCannotSeekAreReadUnderTheSameBound)
+{
+    const std::string text = programArtifactString(makeProgram());
+    PipeBuf pipe(text);
+    std::istream in(&pipe);
+    const auto program = readProgramArtifact(in, /*attach_library=*/false);
+    ASSERT_TRUE(program.has_value());
+    EXPECT_EQ(programArtifactString(*program), text);
+
+    std::string padded = text;
+    padded.resize(kMaxArtifactBytes + 1, ' ');
+    PipeBuf long_pipe(padded);
+    std::istream long_in(&long_pipe);
+    EXPECT_FALSE(readProgramArtifact(long_in, false).has_value());
+}
+
 TEST(ArtifactTest, CalibEpochReadsBackFromTheHeaderAlone)
 {
     // The "header" is the document's top-level calib_epoch member,

@@ -295,8 +295,8 @@ TEST_F(ProgramCacheDiskTest, UnreadableArtifactIsReplacedByTheRecompile)
 
 TEST_F(ProgramCacheDiskTest, ArtifactAboveTheJsonDefaultBoundRoundTrips)
 {
-    // A synthetic program whose artifact is past the JSON reader's
-    // 4 MiB default but within kMaxArtifactBytes: it persists and
+    // A synthetic program whose artifact is past json::parse's
+    // 4 MiB bound but within kMaxArtifactBytes: it persists and
     // reloads bit-identically.
     constexpr int kQubits = 64;
     core::CompiledProgram p;
