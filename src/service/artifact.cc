@@ -195,10 +195,18 @@ decodeProgram(std::string_view text)
 
 } // namespace
 
-std::string
-programArtifactString(const core::CompiledProgram &program)
+namespace {
+
+/** The artifact writers hand the document on in pieces of this size. */
+constexpr size_t kRenderChunk = size_t(64) << 10;
+
+/** Renders the artifact of @p program into @p out, calling @p drain
+ *  with it whenever it passes kRenderChunk; drain may empty it. */
+template <typename Drain>
+void
+renderArtifact(const core::CompiledProgram &program, std::string &out,
+               Drain drain)
 {
-    std::string out;
     json::Writer w(out);
     w.beginObject()
         .field("qzzprog", kArtifactVersion)
@@ -217,6 +225,8 @@ programArtifactString(const core::CompiledProgram &program)
         w.beginObject();
         core::writeGateMembers(w, g);
         w.endObject();
+        if (out.size() >= kRenderChunk)
+            drain(out);
     }
     w.endArray().endObject();
 
@@ -232,9 +242,36 @@ programArtifactString(const core::CompiledProgram &program)
         w.field("unsuppressed_edge", flags);
         w.key("region_of").array(layer.metrics.region_of);
         w.endObject();
+        if (out.size() >= kRenderChunk)
+            drain(out);
     }
     w.endArray().endObject();
+}
+
+} // namespace
+
+std::string
+programArtifactString(const core::CompiledProgram &program)
+{
+    std::string out;
+    renderArtifact(program, out, [](std::string &) {});
     return out;
+}
+
+uint64_t
+writeProgramArtifact(const core::CompiledProgram &program, std::ostream *os)
+{
+    std::string piece;
+    uint64_t bytes = 0;
+    const auto drain = [&](std::string &out) {
+        bytes += out.size();
+        if (os != nullptr)
+            os->write(out.data(), std::streamsize(out.size()));
+        out.clear();
+    };
+    renderArtifact(program, piece, drain);
+    drain(piece);
+    return bytes;
 }
 
 uint64_t

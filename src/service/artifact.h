@@ -50,6 +50,13 @@ inline constexpr size_t kMaxArtifactBytes = size_t(16) << 20;
 std::string programArtifactString(const core::CompiledProgram &program);
 
 /**
+ * The same document written to @p os (when non-null) in pieces of
+ * about 64 KiB, so it is never held whole; returns its size in bytes.
+ */
+uint64_t writeProgramArtifact(const core::CompiledProgram &program,
+                              std::ostream *os);
+
+/**
  * Parse an artifact back.  The returned program carries a null
  * library when @p attach_library is false; otherwise the shared
  * calibration library for the recorded PulseMethod is re-attached via

@@ -132,13 +132,12 @@ ProgramCache::insert(const Fingerprint &key,
                      std::shared_ptr<const core::CompiledProgram> program)
 {
     require(program != nullptr, "ProgramCache::insert: null program");
-    // Serialize exactly once: the string is both the entry's byte
-    // accounting (the unit the manifest and GC bound use) and, when
-    // the disk tier is on, the artifact payload itself.
-    const std::string serialized = programArtifactString(*program);
-    const uint64_t bytes = serialized.size();
-    if (!config_.artifact_dir.empty())
-        storeArtifact(key, serialized, program->calib_epoch);
+    // Render exactly once, streamed: the document's size is the
+    // entry's byte accounting (the unit the manifest and GC bound
+    // use) and, when the disk tier is on, the document is the file.
+    uint64_t bytes = 0;
+    if (config_.artifact_dir.empty() || !storeArtifact(key, *program, bytes))
+        bytes = writeProgramArtifact(*program, nullptr);
     Shard &shard = shardFor(key);
     {
         std::lock_guard<std::mutex> lock(shard.mu);
@@ -266,17 +265,15 @@ ProgramCache::loadArtifact(const Fingerprint &key, uint64_t &bytes)
     }
 }
 
-void
+bool
 ProgramCache::storeArtifact(const Fingerprint &key,
-                            const std::string &serialized,
-                            uint64_t calib_epoch)
+                            const core::CompiledProgram &program,
+                            uint64_t &bytes)
 {
-    if (serialized.size() > kMaxArtifactBytes)
-        return; // it could not be read back: memory tier only
     std::error_code ec;
     std::filesystem::create_directories(config_.artifact_dir, ec);
     if (ec)
-        return; // the artifact tier is best-effort
+        return false; // the artifact tier is best-effort
     const auto final_path = artifactPath(config_.artifact_dir, key);
     // Write-private temp then rename, exactly like the pulse
     // calibration store: concurrent writers can never tear a file.
@@ -296,27 +293,29 @@ ProgramCache::storeArtifact(const Fingerprint &key,
     {
         std::ofstream out(tmp);
         if (!out)
-            return;
-        out << serialized;
+            return false;
+        bytes = writeProgramArtifact(program, &out);
         out.flush();
-        ok = out.good();
+        // Past kMaxArtifactBytes it could not be read back: the
+        // program stays in the memory tier only.
+        ok = out.good() && bytes <= kMaxArtifactBytes;
     }
     if (ok) {
         std::filesystem::rename(tmp, final_path, ec);
         if (!ec) {
             disk_writes_->inc();
-            disk_bytes_written_->inc(serialized.size());
+            disk_bytes_written_->inc(bytes);
             // Record the artifact in the shared manifest (under the
             // directory's advisory lock), then let the GC enforce
             // the byte bound while the write is still hot.
             ManifestEntry entry;
             entry.fp = key;
-            entry.bytes = serialized.size();
+            entry.bytes = bytes;
             entry.mtime_ms =
                 std::chrono::duration_cast<std::chrono::milliseconds>(
                     std::chrono::system_clock::now().time_since_epoch())
                     .count();
-            entry.calib_epoch = calib_epoch;
+            entry.calib_epoch = program.calib_epoch;
             appendManifestEntry(config_.artifact_dir, entry);
             if (config_.gc)
                 config_.gc->maybeCollect();
@@ -324,6 +323,7 @@ ProgramCache::storeArtifact(const Fingerprint &key,
     }
     if (!ok || ec)
         std::filesystem::remove(tmp, ec);
+    return true;
 }
 
 } // namespace qzz::svc

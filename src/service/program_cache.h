@@ -180,8 +180,11 @@ class ProgramCache
                       uint64_t bytes);
     std::shared_ptr<const core::CompiledProgram>
     loadArtifact(const Fingerprint &key, uint64_t &bytes);
-    void storeArtifact(const Fingerprint &key, const std::string &serialized,
-                       uint64_t calib_epoch);
+    /** Persists @p program's artifact; false when it was not
+     *  rendered (no directory, no temp file), else @p bytes is its
+     *  size, whether or not the file landed. */
+    bool storeArtifact(const Fingerprint &key,
+                       const core::CompiledProgram &program, uint64_t &bytes);
 
     ProgramCacheConfig config_;
     size_t shard_capacity_ = 1;

@@ -271,6 +271,12 @@ TEST(ArtifactTest, DecodeOfEncodeIsTheIdentityForEveryPolicy)
         const std::string text = programArtifactString(p);
         const auto back = decode(text);
         ASSERT_TRUE(back.has_value());
+        // The streamed writer writes the same bytes (its many-piece
+        // path is the disk tier's >4 MiB round trip).
+        std::ostringstream streamed;
+        EXPECT_EQ(writeProgramArtifact(p, &streamed), text.size());
+        EXPECT_EQ(streamed.str(), text);
+        EXPECT_EQ(writeProgramArtifact(p, nullptr), text.size());
 
         EXPECT_EQ(back->pulse_method, p.pulse_method);
         EXPECT_EQ(back->sched_policy, policy);
