@@ -265,6 +265,31 @@ main(int argc, char **argv)
                 [&] { rho.applyDecoherenceScalar(gamma, keep); }),
          bestNs(kreps, [&] { rho.applyDecoherence(gamma, keep); })});
 
+    // One whole Strang step of the density-matrix simulator (one 2Q
+    // and two 1Q jobs): the scalar loop's phase / gates / phase /
+    // channel sweeps against A (A rho)^dag with the phases folded in,
+    // the factor table in the last store, then the transfer passes.
+    {
+        const la::CVector p_half = sim::phaseVector(energies, kdt / 2.0);
+        sim::DecoherenceChannel channel;
+        channel.assign(kn, gamma, keep);
+        const sim::StepJob jobs[] = {
+            {u4.data(), 1, 4}, {u2.data(), 0, -1}, {u2.data(), 2, -1}};
+        kernels.push_back(
+            {"dm_step", kn, bestNs(kreps, [&] {
+                 rho.applyDiagonalPhase(energies, kdt / 2.0);
+                 rho.apply2QScalar(u4m, 1, 4);
+                 rho.apply1QScalar(u2m, 0);
+                 rho.apply1QScalar(u2m, 2);
+                 rho.applyDiagonalPhase(energies, kdt / 2.0);
+                 rho.applyDecoherenceScalar(gamma, keep);
+             }),
+             bestNs(kreps, [&] {
+                 rho.applyStepUnitary(jobs, 3, p_half, channel);
+                 rho.applyTransfers(channel);
+             })});
+    }
+
     // The propagator memo against recomputation: what each gate of a
     // layer (beyond the first of its kind) pays per step.
     {

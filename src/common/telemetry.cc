@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 
 #include "common/error.h"
 
@@ -30,6 +31,17 @@ atomicAddDouble(std::atomic<double> &target, double delta)
     double cur = target.load(std::memory_order_relaxed);
     while (!target.compare_exchange_weak(cur, cur + delta,
                                          std::memory_order_relaxed))
+        ;
+}
+
+/** Replace @p target by @p v while @p better(v, target) holds. */
+template <typename Better>
+void
+atomicExtremum(std::atomic<double> &target, double v, Better better)
+{
+    double cur = target.load(std::memory_order_relaxed);
+    while (better(v, cur) &&
+           !target.compare_exchange_weak(cur, v, std::memory_order_relaxed))
         ;
 }
 
@@ -216,6 +228,8 @@ Histogram::observe(double v)
     shards_[threadStripe() % kShards].counts[idx].fetch_add(
         1, std::memory_order_relaxed);
     atomicAddDouble(sum_, v);
+    atomicExtremum(min_, v, std::less<double>());
+    atomicExtremum(max_, v, std::greater<double>());
 }
 
 HistogramSnapshot
@@ -230,6 +244,8 @@ Histogram::snapshot() const
     for (uint64_t c : snap.counts)
         snap.count += c;
     snap.sum = sum_.load(std::memory_order_relaxed);
+    snap.min = min_.load(std::memory_order_relaxed);
+    snap.max = max_.load(std::memory_order_relaxed);
     return snap;
 }
 
@@ -249,27 +265,27 @@ HistogramSnapshot::quantile(double q) const
     if (count == 0)
         return 0.0;
     q = std::min(std::max(q, 0.0), 1.0);
+    const bool observed = min <= max;
+    // The +Inf bucket cannot resolve beyond its largest finite bound;
+    // the observed max is the honest answer there.
+    const double top = observed ? max : bounds.empty() ? 0.0 : bounds.back();
     // Rank of the target observation (1-based, ceil: the classic
     // nearest-rank definition keeps p100 inside the data).
     const uint64_t rank =
         std::max<uint64_t>(1, uint64_t(std::ceil(q * double(count))));
+    double estimate = top;
     uint64_t seen = 0;
-    for (size_t i = 0; i < counts.size(); ++i) {
-        if (counts[i] == 0)
-            continue;
-        if (seen + counts[i] >= rank) {
-            if (i >= bounds.size())
-                // +Inf bucket: the histogram cannot resolve beyond
-                // its largest finite bound.
-                return bounds.empty() ? 0.0 : bounds.back();
+    for (size_t i = 0; i < counts.size() && i < bounds.size(); ++i) {
+        if (counts[i] != 0 && seen + counts[i] >= rank) {
             const double lower = i == 0 ? 0.0 : bounds[i - 1];
             const double upper = bounds[i];
             const double into = double(rank - seen) / double(counts[i]);
-            return lower + (upper - lower) * into;
+            estimate = lower + (upper - lower) * into;
+            break;
         }
         seen += counts[i];
     }
-    return bounds.empty() ? 0.0 : bounds.back();
+    return observed ? std::min(std::max(estimate, min), max) : estimate;
 }
 
 // ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -102,12 +103,17 @@ struct HistogramSnapshot
     std::vector<uint64_t> counts;
     uint64_t count = 0;
     double sum = 0.0;
+    /** Smallest and largest observation (min > max: none recorded). */
+    double min = std::numeric_limits<double>::infinity();
+    double max = -std::numeric_limits<double>::infinity();
 
     /**
      * Quantile estimate by linear interpolation inside the owning
-     * bucket (lower edge 0 for the first bucket).  Observations in
-     * the +Inf bucket clamp to the largest finite bound.  Returns 0
-     * for an empty histogram.  @p q in [0, 1].
+     * bucket (lower edge 0 for the first bucket), clamped to the
+     * observed [min, max], so no quantile exceeds the largest value
+     * seen.  Observations in the +Inf bucket resolve to the observed
+     * max (the largest finite bound when none is recorded).  Returns
+     * 0 for an empty histogram.  @p q in [0, 1].
      */
     double quantile(double q) const;
 };
@@ -136,6 +142,8 @@ class Histogram
     std::vector<double> bounds_;
     std::array<Shard, kShards> shards_;
     std::atomic<double> sum_{0.0};
+    std::atomic<double> min_{std::numeric_limits<double>::infinity()};
+    std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
 };
 
 enum class MetricKind

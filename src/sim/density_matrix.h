@@ -3,23 +3,31 @@
  * Density-matrix register for open-system simulation (Fig. 23).
  *
  * Sized for the paper's decoherence study (6-qubit benchmarks: 64x64
- * matrices).  Unitaries are applied locally from the left and right;
- * relaxation (T1) and dephasing (T2) enter as exact per-step Kraus
- * channels on each qubit.
+ * matrices).  Relaxation (T1) and dephasing (T2) enter as exact
+ * per-step Kraus channels on each qubit.
  *
- * Hot-path kernels (apply1Q / apply2Q / applyPhaseVector /
- * applyDecoherence) are fused: conjugation U rho U^dag decomposes
- * into independent 2x2 (4x4) blocks mixing row pair (r0, r1) with
- * column pair (c0, c1), so one cache-blocked sweep applies the left
- * and the right factor together, in registers, with zero heap
- * allocation — instead of two full passes over the matrix.  For
- * n >= 8 qubits the row-block loops split across the shared
- * common::parallelFor() pool (block-disjoint writes, so results are
- * independent of thread count).  The pre-fusion implementations are
- * retained as *Scalar reference paths; the kernel-equivalence suite
- * (tests/sim/kernel_equivalence_test.cc) pins optimized == scalar to
- * <= 1e-14 elementwise, and bench/bench_sim_speed.cc measures the
- * ratio.  See docs/performance.md.
+ * Precondition of every optimized unitary kernel: rho is Hermitian.
+ * A conjugation U rho U^dag is then computed as U (U rho)^dag, so
+ * both factors are *left* products — row passes that mix whole rows,
+ * contiguous along columns — with one in-place conjugate transpose
+ * between them (applyStepUnitary, apply2Q).  apply1Q keeps the 2x2
+ * block sweep, which is cheaper than two row passes for one qubit.
+ *
+ * A Strang step of the schedule simulator applies
+ * rho <- D(A rho A^dag), A = P(dt/2) J_k ... J_1 P(dt/2), with the
+ * diagonal ZZ phase P folded into the first and last job's row
+ * coefficients.  The per-qubit channel D is split exactly into a real
+ * per-element factor table F (its diagonal part, applied in the last
+ * row pass) and one sparse transfer pass per lossy qubit
+ * (DecoherenceChannel); applyDecoherence() runs the same two pieces.
+ *
+ * For n >= 8 qubits every pass splits its rows across the shared
+ * common::parallelFor() pool (disjoint writes, so results do not
+ * depend on the thread count).  The unfused element-by-element
+ * implementations are retained as *Scalar reference paths; the
+ * kernel-equivalence suite (tests/sim/kernel_equivalence_test.cc)
+ * pins optimized == scalar, and bench/bench_sim_speed.cc measures
+ * the ratio.  See docs/performance.md.
  */
 
 #ifndef QZZ_SIM_DENSITY_MATRIX_H
@@ -29,6 +37,60 @@
 #include "sim/state_vector.h"
 
 namespace qzz::sim {
+
+/** One drive job of a Strang step: a row-major 2x2 (single-qubit) or
+ *  4x4 (two-qubit) unitary and the qubits it acts on. */
+struct StepJob
+{
+    const la::cplx *u = nullptr;
+    int q_hi = 0;
+    int q_lo = -1; ///< -1 for a single-qubit job
+};
+
+/**
+ * The per-qubit amplitude-damping + dephasing channel of one
+ * integrator step, in the factored form the kernels apply.
+ *
+ * Per qubit, with decay probability g and dephasing retention k, the
+ * channel scales the (r_q, c_q) = (0,0) / mixed / (1,1) elements by
+ * 1 / sqrt(1-g) k / 1-g and then adds g times the old (1,1) element
+ * to its (0,0) partner.  The qubits' channels commute, so the whole
+ * channel is the real factor table F[r,c] = prod_q f_q followed by
+ * one transfer per lossy qubit, rho[r,c] += g/(1-g) rho[r|q, c|q] on
+ * the r_q = c_q = 0 quarter (the source was scaled by 1-g).  Exact,
+ * with no truncation in g; requires g < 1.
+ */
+class DecoherenceChannel
+{
+  public:
+    /** The identity channel. */
+    DecoherenceChannel() = default;
+
+    /** Rebuild for @p n qubits from per-qubit decay probabilities
+     *  and dephasing retentions (one entry per qubit each), reusing
+     *  the existing storage. */
+    void assign(int n, const std::vector<double> &gamma,
+                const std::vector<double> &keep);
+
+  private:
+    friend class DensityMatrix;
+
+    /** The factor table for a @p d x @p d register, null for the
+     *  identity channel (no qubit decays or dephases); fatal when
+     *  built for another size. */
+    const double *factorsFor(size_t d) const;
+
+    struct Transfer
+    {
+        size_t mask;  ///< the qubit's bit in a row/column index
+        double ratio; ///< g / (1 - g)
+    };
+
+    /** F[r,c] at 2 (r d + c) and again at 2 (r d + c) + 1, one entry
+     *  per double of rho's element; empty for the identity channel. */
+    std::vector<double> factors_;
+    std::vector<Transfer> transfers_;
+};
 
 /** An n-qubit mixed state. */
 class DensityMatrix
@@ -46,11 +108,13 @@ class DensityMatrix
     la::CMatrix &matrix() { return rho_; }
     const la::CMatrix &matrix() const { return rho_; }
 
-    /** rho -> U_q rho U_q^dag for a 2x2 U (fused kernel). */
+    /** rho -> U_q rho U_q^dag for a 2x2 U (2x2 block sweep). */
     void apply1Q(const la::Mat2 &u, int q);
     void apply1Q(const la::CMatrix &u, int q);
 
-    /** rho -> U rho U^dag for a 4x4 U on (q_hi, q_lo) (fused). */
+    /** rho -> U rho U^dag for a 4x4 U on (q_hi, q_lo), as
+     *  U (U rho)^dag: two row passes around an in-place conjugate
+     *  transpose.  Requires rho Hermitian. */
     void apply2Q(const la::Mat4 &u, int q_hi, int q_lo);
     void apply2Q(const la::CMatrix &u, int q_hi, int q_lo);
 
@@ -68,8 +132,11 @@ class DensityMatrix
 
     /** rho[r,c] *= p[r] * conj(p[c]) for a unit-modulus phase vector
      *  (p[i] = exp(-i E[i] dt), precomputed by the caller).  Agrees
-     *  with applyDiagonalPhase() to 1 ulp per element. */
-    void applyPhaseVector(const la::CVector &p);
+     *  with applyDiagonalPhase() to 1 ulp per element.  Fused with
+     *  @p channel's factor table, it is the unitary part of a Strang
+     *  step whose drive jobs have all ended (applyTransfers() next). */
+    void applyPhaseVector(const la::CVector &p,
+                          const DecoherenceChannel &channel = {});
 
     /** Amplitude damping with excited-state decay probability
      *  @p gamma on qubit @p q. */
@@ -85,11 +152,28 @@ class DensityMatrix
      * skipped, so a heterogeneous device pays only for its lossy
      * qubits.  Both vectors must have numQubits() entries.
      *
-     * Fused: both channels for one qubit land in a single sweep over
-     * the matrix (the scalar path makes three).
+     * One factor-table pass plus one transfer pass per lossy qubit
+     * (DecoherenceChannel); every gamma must be < 1.
      */
     void applyDecoherence(const std::vector<double> &gamma,
                           const std::vector<double> &keep);
+
+    /**
+     * The unitary half of one Strang step, fused with the channel's
+     * factor table: rho <- F o (A rho A^dag) with
+     * A = diag(p) J_k ... J_1 diag(p), for @p count >= 1 drive jobs
+     * on disjoint qubits.  Computed as A (A rho)^dag: k row passes
+     * (diag(p) folded into the first and last job's coefficients),
+     * an in-place conjugate transpose, k row passes with F applied
+     * in the last one.  Requires rho Hermitian.
+     */
+    void applyStepUnitary(const StepJob *jobs, size_t count,
+                          const la::CVector &p,
+                          const DecoherenceChannel &channel);
+
+    /** The channel's transfer passes: the rest of the channel after
+     *  its factor table (applyStepUnitary / applyPhaseVector). */
+    void applyTransfers(const DecoherenceChannel &channel);
 
     /** @name Scalar reference kernels
      *  The pre-vectorization implementations, element-by-element and

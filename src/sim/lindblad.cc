@@ -99,14 +99,14 @@ void
 DensityMatrixScheduleSimulator::runLayer(const core::Layer &layer,
                                          DensityMatrix &rho) const
 {
-    StepPropagatorMemo memo;
-    runLayerImpl(layer, rho, memo);
+    StepWorkspace ws;
+    runLayerImpl(layer, rho, ws);
 }
 
 void
 DensityMatrixScheduleSimulator::runLayerImpl(const core::Layer &layer,
                                              DensityMatrix &rho,
-                                             StepPropagatorMemo &memo) const
+                                             StepWorkspace &ws) const
 {
     if (layer.is_virtual) {
         for (const core::ScheduledGate &sg : layer.gates)
@@ -124,55 +124,50 @@ DensityMatrixScheduleSimulator::runLayerImpl(const core::Layer &layer,
     const size_t steps = layerSteps(layer, options_.dt, dt);
     const std::vector<Job> jobs = collectJobs(layer, library_);
 
-    std::vector<double> gamma, keep;
-    if (any_decoherence_)
+    if (any_decoherence_) {
+        std::vector<double> gamma, keep;
         decoherenceFactors(dt, gamma, keep);
+        ws.channel.assign(device_.numQubits(), gamma, keep);
+    }
+    const DecoherenceChannel &channel = ws.channel;
 
-    // On a fully coherent device the trailing ZZ half-step of step s
-    // and the leading one of step s+1 merge into one full-step sweep;
-    // with decoherence the Kraus channel sits between them, so the
-    // half-steps stay separate.
-    const bool merge_halves = !any_decoherence_;
+    // One step is rho <- D(A rho A^dag), A = P(dt/2) J P(dt/2): the
+    // half-step phases ride in the row passes' coefficients and D's
+    // factor table in the last pass.  A step whose pulses have all
+    // ended has A = P(dt), a single phase pass.
     const la::CVector p_half = phaseVector(zz_energies_, dt / 2.0);
-    const la::CVector p_full = (merge_halves && steps > 1)
-                                   ? phaseVector(zz_energies_, dt)
-                                   : la::CVector{};
+    la::CVector p_full;
 
     const bool tm = metrics_.enabled();
     KernelTimer phase_t(tm), gate_t(tm), decoh_t(tm);
 
-    if (merge_halves) {
-        phase_t.start();
-        rho.applyPhaseVector(p_half);
-        phase_t.stop();
-    }
     for (size_t s = 0; s < steps; ++s) {
         const double t_mid = (double(s) + 0.5) * dt;
-        if (!merge_halves) {
-            phase_t.start();
-            rho.applyPhaseVector(p_half);
-            phase_t.stop();
-        }
         gate_t.start();
+        ws.active.clear();
         for (const Job &j : jobs) {
             if (t_mid >= j.program->duration)
                 continue; // this gate's pulses already ended
-            if (j.q1 < 0)
-                rho.apply1Q(memo.get1Q(*j.program, j.kind, s, dt), j.q0);
-            else
-                rho.apply2Q(memo.get2Q(*j.program, j.kind, s, dt), j.q0,
-                            j.q1);
+            const la::cplx *u =
+                j.q1 < 0
+                    ? ws.memo.get1Q(*j.program, j.kind, s, dt).data()
+                    : ws.memo.get2Q(*j.program, j.kind, s, dt).data();
+            ws.active.push_back({u, j.q0, j.q1});
         }
+        if (!ws.active.empty())
+            rho.applyStepUnitary(ws.active.data(), ws.active.size(),
+                                 p_half, channel);
         gate_t.stop();
-        phase_t.start();
-        if (merge_halves)
-            rho.applyPhaseVector(s + 1 < steps ? p_full : p_half);
-        else
-            rho.applyPhaseVector(p_half);
-        phase_t.stop();
+        if (ws.active.empty()) {
+            phase_t.start();
+            if (p_full.empty())
+                p_full = phaseVector(zz_energies_, dt);
+            rho.applyPhaseVector(p_full, channel);
+            phase_t.stop();
+        }
         if (any_decoherence_) {
             decoh_t.start();
-            rho.applyDecoherence(gamma, keep);
+            rho.applyTransfers(channel);
             decoh_t.stop();
         }
     }
@@ -233,9 +228,9 @@ DensityMatrixScheduleSimulator::run(const core::Schedule &schedule,
 {
     require(schedule.num_qubits == device_.numQubits(),
             "DensityMatrixScheduleSimulator: schedule/device mismatch");
-    StepPropagatorMemo memo;
+    StepWorkspace ws;
     for (const core::Layer &layer : schedule.layers)
-        runLayerImpl(layer, rho, memo);
+        runLayerImpl(layer, rho, ws);
 }
 
 DensityMatrix

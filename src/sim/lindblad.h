@@ -8,6 +8,12 @@
  * pure-dephasing Kraus channels on every qubit (rates 1/T1(q) and
  * 1/T_phi(q) = 1/T2(q) - 1/(2 T1(q)), read per qubit from the
  * device's calibration snapshot).
+ *
+ * One step is rho <- D(A rho A^dag) with A = P(dt/2) (x jobs) P(dt/2),
+ * computed as A (A rho)^dag (DensityMatrix::applyStepUnitary) and
+ * followed by D's transfer passes; D's factor table is rebuilt once
+ * per layer.  Precondition: the state handed to run() / runLayer()
+ * is Hermitian (every DensityMatrix built by this library is).
  */
 
 #ifndef QZZ_SIM_LINDBLAD_H
@@ -17,6 +23,7 @@
 #include "device/device.h"
 #include "pulse/library.h"
 #include "sim/density_matrix.h"
+#include "sim/drive_step.h"
 #include "sim/pulse_sim.h"
 
 namespace qzz::sim {
@@ -47,13 +54,22 @@ class DensityMatrixScheduleSimulator
     std::vector<double> zz_energies_;
     SimMetrics metrics_;
     /** True when any qubit has a finite T1 or T2 (skip the Kraus
-     *  sweep entirely on fully coherent devices). */
+     *  channel entirely on fully coherent devices). */
     bool any_decoherence_ = false;
 
-    /** One layer against a caller-owned propagator memo (run() keeps
-     *  one across layers so equal-dt layers share entries). */
+    /** What one run() reuses across its layers: the propagator memo
+     *  (equal-dt layers share entries), the channel's storage, and
+     *  the per-step job list. */
+    struct StepWorkspace
+    {
+        StepPropagatorMemo memo;
+        DecoherenceChannel channel;
+        std::vector<StepJob> active;
+    };
+
+    /** One layer against a caller-owned workspace. */
     void runLayerImpl(const core::Layer &layer, DensityMatrix &rho,
-                      StepPropagatorMemo &memo) const;
+                      StepWorkspace &ws) const;
     /** The retained seed integrator (scalar_reference option). */
     void runLayerScalar(const core::Layer &layer,
                         DensityMatrix &rho) const;

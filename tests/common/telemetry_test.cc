@@ -9,11 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "common/telemetry.h"
 
 namespace qzz::tel {
@@ -116,6 +118,45 @@ TEST(HistogramTest, QuantilesAreMonotoneUnderSkewedLoad)
     EXPECT_LE(p99, 128.0);
     EXPECT_GE(p999, 256.0);
     EXPECT_LE(p999, 1024.0);
+}
+
+// No reported quantile may leave the range of what was observed: a
+// bucket's upper edge can sit far above the largest sample (a x2
+// bucket up to 2x), and the +Inf bucket far above its finite bound.
+TEST(HistogramTest, QuantilesStayWithinObservedMinAndMax)
+{
+    Rng rng(23);
+    for (int trial = 0; trial < 200; ++trial) {
+        MetricsRegistry reg;
+        Histogram &h = reg.histogram(
+            "qzz_test_lat_ms", "Latency.",
+            HistogramBuckets::logarithmic(0.01, 2.0, 20));
+        // Log-uniform samples over a random span, some past the
+        // largest finite bound (0.01 * 2^19 ~ 5243).
+        const int n = 1 + int(rng.uniform(0.0, 60.0));
+        const double lo = std::pow(10.0, rng.uniform(-3.0, 3.0));
+        const double span = std::pow(10.0, rng.uniform(0.0, 3.0));
+        double mn = std::numeric_limits<double>::infinity();
+        double mx = -mn;
+        for (int i = 0; i < n; ++i) {
+            const double v = lo * std::pow(span, rng.uniform(0.0, 1.0));
+            h.observe(v);
+            mn = std::min(mn, v);
+            mx = std::max(mx, v);
+        }
+        const HistogramSnapshot snap = h.snapshot();
+        EXPECT_EQ(snap.min, mn);
+        EXPECT_EQ(snap.max, mx);
+        for (int k = 0; k <= 100; ++k) {
+            const double q = k / 100.0;
+            const double v = snap.quantile(q);
+            EXPECT_GE(v, mn) << "trial " << trial << " q " << q;
+            EXPECT_LE(v, mx) << "trial " << trial << " q " << q;
+        }
+        const double q = rng.uniform(0.0, 1.0);
+        EXPECT_GE(snap.quantile(q), mn);
+        EXPECT_LE(snap.quantile(q), mx);
+    }
 }
 
 TEST(HistogramTest, EmptyQuantileIsZero)

@@ -12,6 +12,7 @@
  */
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -318,6 +319,214 @@ TEST(KernelEquivalence, DecoherentSimulatorGoldenFidelity)
     StateVector zero(4);
     EXPECT_NEAR(a.expectationPure(zero), b.expectationPure(zero), 1e-10);
     EXPECT_LE(maxAbsDiff(a.matrix(), b.matrix()), 1e-11);
+}
+
+// --- the Strang step as A (A rho)^dag --------------------------------
+
+enum class Coherence
+{
+    Coherent, ///< T1 = T2 = inf on every qubit
+    Lossy,    ///< finite T1 and T2 on every qubit
+    Mixed,    ///< per qubit: both, T1 only, T2 only, coherent
+};
+
+/** A line of @p n qubits whose per-qubit T1/T2 follow @p coh; short
+ *  coherence times make the channel's terms large enough to show. */
+dev::Device
+lineDevice(int n, Coherence coh, uint64_t seed)
+{
+    const graph::Topology topo = graph::lineTopology(n);
+    Rng rng(seed);
+    dev::Calibration calib =
+        dev::Calibration::sampled(topo, dev::DeviceParams{}, rng);
+    const double inf = std::numeric_limits<double>::infinity();
+    for (int q = 0; q < n; ++q) {
+        const double t1 = 3000.0 + 250.0 * q;
+        const double t2 = 2500.0 + 200.0 * q;
+        const int kind = coh == Coherence::Lossy      ? 0
+                         : coh == Coherence::Coherent ? 3
+                                                      : q % 4;
+        calib.t1[size_t(q)] = kind == 0 || kind == 1 ? t1 : inf;
+        calib.t2[size_t(q)] = kind == 0 || kind == 2 ? t2 : inf;
+    }
+    return dev::Device(topo, calib);
+}
+
+core::ScheduledGate
+scheduled(ckt::GateKind kind, std::initializer_list<int> qubits)
+{
+    core::ScheduledGate sg;
+    if (kind == ckt::GateKind::RZX)
+        sg.gate = ckt::Gate(kind, {*qubits.begin(), *(qubits.begin() + 1)},
+                            {kPi / 2.0});
+    else
+        sg.gate = ckt::Gate(kind, {*qubits.begin()});
+    return sg;
+}
+
+enum class LayerKind
+{
+    OneQubit, ///< SX on every qubit
+    TwoQubit, ///< RZX on disjoint neighbour pairs
+    Mixed,    ///< RZX on (0, 1), SX on the rest
+    Idle,     ///< Mixed, held past every pulse's end
+};
+
+core::Layer
+testLayer(int n, LayerKind kind, const pulse::PulseLibrary &lib, double dt)
+{
+    const double t_sx = lib.get(pulse::PulseGate::SX).duration;
+    const double t_rzx = lib.get(pulse::PulseGate::RZX).duration;
+    core::Layer layer;
+    switch (kind) {
+    case LayerKind::OneQubit:
+        for (int q = 0; q < n; ++q)
+            layer.gates.push_back(scheduled(ckt::GateKind::SX, {q}));
+        layer.duration = t_sx;
+        break;
+    case LayerKind::TwoQubit:
+        for (int q = 0; q + 1 < n; q += 2)
+            layer.gates.push_back(
+                scheduled(ckt::GateKind::RZX, {q, q + 1}));
+        layer.duration = t_rzx;
+        break;
+    case LayerKind::Mixed:
+    case LayerKind::Idle:
+        layer.gates.push_back(scheduled(ckt::GateKind::RZX, {0, 1}));
+        for (int q = 2; q < n; ++q)
+            layer.gates.push_back(scheduled(ckt::GateKind::SX, {q}));
+        layer.duration = std::max(t_sx, t_rzx);
+        if (kind == LayerKind::Idle)
+            layer.duration += 6.0 * dt;
+        break;
+    }
+    return layer;
+}
+
+double
+maxAntiHermitian(const CMatrix &m)
+{
+    double worst = 0.0;
+    for (size_t r = 0; r < m.rows(); ++r)
+        for (size_t c = 0; c < m.cols(); ++c)
+            worst = std::max(worst, std::abs(m(r, c) - std::conj(m(c, r))));
+    return worst;
+}
+
+TEST(KernelEquivalence, StrangStepMatchesScalarLayerAcrossSizes)
+{
+    // Every register size from 2 to 8 qubits (the serial and the
+    // pool-split passes), coherent / lossy / mixed per-qubit devices,
+    // and 1Q-only, 2Q-only, mixed and trailing-idle layers (steps
+    // where A is diagonal), one layer at a time from a random state.
+    // A coarse dt keeps the scalar reference cheap at n = 8; the step
+    // arithmetic does not depend on it.
+    const auto lib = pulse::PulseLibrary::gaussian();
+    const double dt = 2.0;
+    Rng rng(18);
+    for (int n = 2; n <= 8; ++n)
+        for (Coherence coh :
+             {Coherence::Coherent, Coherence::Lossy, Coherence::Mixed}) {
+            const dev::Device dev = lineDevice(n, coh, uint64_t(n));
+            PulseSimOptions fast;
+            fast.dt = dt;
+            PulseSimOptions ref = fast;
+            ref.scalar_reference = true;
+            const DensityMatrixScheduleSimulator fast_sim(dev, lib, fast);
+            const DensityMatrixScheduleSimulator ref_sim(dev, lib, ref);
+            for (LayerKind kind : {LayerKind::OneQubit, LayerKind::TwoQubit,
+                                   LayerKind::Mixed, LayerKind::Idle}) {
+                const core::Layer layer = testLayer(n, kind, lib, dt);
+                DensityMatrix a = randomState(rng, n);
+                DensityMatrix b = a;
+                fast_sim.runLayer(layer, a);
+                ref_sim.runLayer(layer, b);
+                EXPECT_LE(maxAbsDiff(a.matrix(), b.matrix()), 1e-13)
+                    << "n=" << n << " coherence=" << int(coh)
+                    << " layer=" << int(kind);
+            }
+        }
+}
+
+/** The Fig. 23 setting: T1 = T2 = 100 us on the 2x3 grid. */
+dev::Device
+fig23Device()
+{
+    return gridDevice(2, 3).withCoherence(us(100.0), us(100.0));
+}
+
+TEST(KernelEquivalence, LossyFig23ScheduleMatchesScalarAndStaysHermitian)
+{
+    const dev::Device dev = fig23Device();
+    const auto sched = fig23StyleSchedule(dev, 6);
+    const auto lib = pulse::PulseLibrary::gaussian();
+    PulseSimOptions fast;
+    fast.dt = 0.1;
+    PulseSimOptions ref = fast;
+    ref.scalar_reference = true;
+
+    const DensityMatrix a =
+        DensityMatrixScheduleSimulator(dev, lib, fast).run(sched);
+    const DensityMatrix b =
+        DensityMatrixScheduleSimulator(dev, lib, ref).run(sched);
+    EXPECT_LE(maxAbsDiff(a.matrix(), b.matrix()), 1e-11);
+    // Each step reads rho as its own adjoint; the rounding that makes
+    // it not exactly so must not build up over the schedule.
+    EXPECT_LE(maxAntiHermitian(a.matrix()), 1e-14);
+}
+
+TEST(KernelEquivalence, CallerPreparedStateMatchesScalar)
+{
+    const dev::Device dev = fig23Device();
+    const auto sched = fig23StyleSchedule(dev, 6);
+    const auto lib = pulse::PulseLibrary::gaussian();
+    PulseSimOptions fast;
+    fast.dt = 0.1;
+    PulseSimOptions ref = fast;
+    ref.scalar_reference = true;
+
+    Rng rng(19);
+    DensityMatrix a = randomState(rng, 6);
+    DensityMatrix b = a;
+    DensityMatrixScheduleSimulator(dev, lib, fast).run(sched, a);
+    DensityMatrixScheduleSimulator(dev, lib, ref).run(sched, b);
+    EXPECT_LE(maxAbsDiff(a.matrix(), b.matrix()), 1e-11);
+}
+
+TEST(KernelEquivalence, StepUnitaryIsTheConjugationTimesTheFactorTable)
+{
+    // One applyStepUnitary against its definition built from the
+    // scalar kernels: P(dt/2), every job, P(dt/2), then the channel's
+    // diagonal part alone (decay without the transfer: the transfer
+    // pass runs separately).
+    Rng rng(20);
+    const int n = 5;
+    std::vector<double> energies(size_t(1) << n);
+    for (double &e : energies)
+        e = rng.uniform(-5.0, 5.0);
+    const double dt = 0.07;
+    const la::CVector p = phaseVector(energies, dt);
+    const CMatrix u4 = randomUnitary(rng, 4);
+    const CMatrix u2 = randomUnitary(rng, 2);
+    const la::Mat4 m4 = la::toMat4(u4);
+    const la::Mat2 m2 = la::toMat2(u2);
+    const StepJob jobs[] = {{m2.data(), 4, -1}, {m4.data(), 1, 3}};
+    std::vector<double> gamma(size_t(n), 0.0), keep(size_t(n), 1.0);
+    gamma[0] = 0.03;
+    keep[2] = 0.9;
+    DecoherenceChannel channel;
+    channel.assign(n, gamma, keep);
+
+    DensityMatrix a = randomState(rng, n);
+    DensityMatrix b = a;
+    a.applyStepUnitary(jobs, 2, p, channel);
+    a.applyTransfers(channel);
+    b.applyDiagonalPhase(energies, dt);
+    b.apply1QScalar(u2, 4);
+    b.apply2QScalar(u4, 1, 3);
+    b.applyDiagonalPhase(energies, dt);
+    b.applyDecoherenceScalar(gamma, keep);
+    EXPECT_LE(maxAbsDiff(a.matrix(), b.matrix()), 1e-13);
 }
 
 TEST(KernelEquivalence, PoolSplitKernelsMatchAtEightQubits)
