@@ -1,7 +1,6 @@
 #include "core/compiler.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <thread>
 #include <utility>
@@ -150,124 +149,112 @@ defaultPulseProvider()
 }
 
 // ---------------------------------------------------------------------------
-// CompileContext
+// The pipeline stages
 // ---------------------------------------------------------------------------
 
-CompileContext::CompileContext(const dev::Device &device,
-                               const CompileOptions &opt,
-                               const Scheduler &scheduler,
-                               const SchedulerState *scheduler_state,
-                               PulseProvider &provider,
-                               std::vector<ckt::QuantumCircuit> segments)
-    : device(device), options(opt), scheduler(scheduler),
-      scheduler_state(scheduler_state), provider(provider),
-      segments(std::move(segments))
-{
-}
+namespace {
 
+/**
+ * Run one stage of the compile @p out unless an earlier stage failed:
+ * record its StageDiagnostics and map an exception it throws onto the
+ * status channel — UserError as InvalidInput, anything else as
+ * Internal, so nothing escapes a compileBatch() worker thread
+ * (std::terminate).
+ */
+template <typename Stage>
 void
-CompileContext::fail(std::string pass, std::string message,
-                     CompileStatusCode code)
+runStage(const char *name, Clock::time_point compile_start,
+         CompileResult &out, Stage &&stage)
 {
-    // The first failure wins; later passes are skipped anyway.
-    if (!status.ok())
+    if (!out.ok())
         return;
-    status.code = code;
-    status.pass = std::move(pass);
-    status.message = std::move(message);
-}
-
-const pulse::PulseLibrary *
-CompileContext::ensureLibrary()
-{
-    if (program.library)
-        return program.library.get();
-    std::shared_ptr<const pulse::PulseLibrary> lib =
-        provider.library(options.pulse);
-    if (!lib) {
-        fail("pulses", "pulse provider returned no library");
-        return nullptr;
+    StageDiagnostics diag;
+    diag.stage = name;
+    const auto layers_before = out.program.schedule.layers.size();
+    const auto gates_before = out.program.native.size();
+    const auto stage_start = Clock::now();
+    diag.start_ms = millisecondsSince(compile_start);
+    try {
+        stage();
+    } catch (const UserError &e) {
+        out.status = {CompileStatusCode::InvalidInput, name, e.what()};
+    } catch (const std::exception &e) {
+        out.status = {CompileStatusCode::Internal, name, e.what()};
     }
-    program.library = std::move(lib);
-    durations = GateDurations::fromLibrary(*program.library);
-    return program.library.get();
+    diag.wall_ms = millisecondsSince(stage_start);
+    diag.layers_added =
+        int(out.program.schedule.layers.size() - layers_before);
+    diag.gates_added = int(out.program.native.size() - gates_before);
+    out.diagnostics.stages.push_back(std::move(diag));
 }
 
-// ---------------------------------------------------------------------------
-// The default passes
-// ---------------------------------------------------------------------------
-
-void
-RoutePass::run(CompileContext &ctx) const
+/**
+ * Route every segment to the topology.  The permutation left by one
+ * segment's SWAPs is the next segment's initial layout; the last one
+ * lands in @p final_layout.
+ */
+std::vector<ckt::QuantumCircuit>
+routeSegments(const std::vector<ckt::QuantumCircuit> &segments,
+              const graph::Graph &topo, std::vector<int> &final_layout,
+              int &swaps_inserted)
 {
-    const int logical_qubits = ctx.segments.front().numQubits();
-    // The permutation left by one segment's SWAPs is the next
-    // segment's initial layout.
-    std::vector<int> layout = ctx.final_layout;
-    ctx.routed_segments.clear();
-    for (const ckt::QuantumCircuit &segment : ctx.segments) {
-        if (segment.numQubits() != logical_qubits) {
-            ctx.fail(name(), "route: register size mismatch between "
-                             "segments");
-            return;
-        }
-        ckt::RoutedCircuit routed =
-            ckt::routeCircuit(segment, ctx.device.graph(), layout);
-        layout = routed.final_layout;
-        ctx.swaps_inserted += routed.swaps_inserted;
-        ctx.routed_segments.push_back(std::move(routed.circuit));
+    const int logical_qubits = segments.front().numQubits();
+    std::vector<int> layout;
+    std::vector<ckt::QuantumCircuit> routed;
+    for (const ckt::QuantumCircuit &segment : segments) {
+        require(segment.numQubits() == logical_qubits,
+                "route: register size mismatch between segments");
+        ckt::RoutedCircuit r = ckt::routeCircuit(segment, topo, layout);
+        layout = std::move(r.final_layout);
+        swaps_inserted += r.swaps_inserted;
+        routed.push_back(std::move(r.circuit));
     }
-    ctx.final_layout = std::move(layout);
+    final_layout = std::move(layout);
+    return routed;
 }
 
-void
-LowerPass::run(CompileContext &ctx) const
+/** Lower the routed segments to the native gate set, appending every
+ *  native gate to @p program as well. */
+std::vector<ckt::QuantumCircuit>
+lowerSegments(const std::vector<ckt::QuantumCircuit> &routed,
+              const graph::Graph &topo, ckt::QuantumCircuit &program)
 {
-    ctx.native_segments.clear();
-    ctx.program.native = ckt::QuantumCircuit(
-        ctx.device.numQubits(), ctx.segments.front().name());
-    for (const ckt::QuantumCircuit &routed : ctx.routed_segments) {
-        ckt::QuantumCircuit native = ckt::decomposeToNative(routed);
-        ensure(ckt::respectsConnectivity(native, ctx.device.graph()),
+    std::vector<ckt::QuantumCircuit> lowered;
+    for (const ckt::QuantumCircuit &segment : routed) {
+        ckt::QuantumCircuit native = ckt::decomposeToNative(segment);
+        ensure(ckt::respectsConnectivity(native, topo),
                "lower: connectivity violated after decomposition");
         for (const ckt::Gate &g : native.gates())
-            ctx.program.native.add(g);
-        ctx.native_segments.push_back(std::move(native));
+            program.add(g);
+        lowered.push_back(std::move(native));
     }
+    return lowered;
 }
 
-void
-SchedulePass::run(CompileContext &ctx) const
+/**
+ * Attach the provider's library to @p out (once) and derive the gate
+ * durations from it.  False — with the status set — when the provider
+ * has no library to give.
+ */
+bool
+fetchLibrary(PulseProvider &provider, PulseMethod method,
+             CompileResult &out, GateDurations &durations)
 {
-    // Durations come from the pulse library (e.g. DCG stretches SX to
-    // 120 ns), so the library is acquired here even though it is only
-    // attached to the program by AttachPulsesPass.
-    if (!ctx.ensureLibrary())
-        return;
-    ctx.program.schedule = Schedule{};
-    ctx.program.schedule.num_qubits = ctx.device.numQubits();
-    for (const ckt::QuantumCircuit &native : ctx.native_segments) {
-        Schedule sched = ctx.scheduler.schedule(
-            native, ctx.device, ctx.durations, ctx.scheduler_state);
-        for (Layer &layer : sched.layers)
-            ctx.program.schedule.layers.push_back(std::move(layer));
+    if (out.program.library)
+        return true;
+    std::shared_ptr<const pulse::PulseLibrary> lib =
+        provider.library(method);
+    if (!lib) {
+        out.status = {CompileStatusCode::InvalidInput, "pulses",
+                      "pulse provider returned no library"};
+        return false;
     }
+    out.program.library = std::move(lib);
+    durations = GateDurations::fromLibrary(*out.program.library);
+    return true;
 }
 
-void
-AttachPulsesPass::run(CompileContext &ctx) const
-{
-    ctx.ensureLibrary();
-}
-
-std::vector<std::shared_ptr<const Pass>>
-defaultPassPipeline()
-{
-    return {std::make_shared<RoutePass>(),
-            std::make_shared<LowerPass>(),
-            std::make_shared<SchedulePass>(),
-            std::make_shared<AttachPulsesPass>()};
-}
+} // namespace
 
 // ---------------------------------------------------------------------------
 // Compiler
@@ -292,11 +279,9 @@ BatchResult::allOk() const
 
 Compiler::Compiler(dev::Device device, CompileOptions options,
                    std::shared_ptr<const Scheduler> scheduler,
-                   std::shared_ptr<PulseProvider> provider,
-                   std::vector<std::shared_ptr<const Pass>> passes)
+                   std::shared_ptr<PulseProvider> provider)
     : device_(std::move(device)), options_(options),
-      scheduler_(std::move(scheduler)), provider_(std::move(provider)),
-      passes_(std::move(passes))
+      scheduler_(std::move(scheduler)), provider_(std::move(provider))
 {
     scheduler_state_ = scheduler_->prepare(device_);
 }
@@ -321,61 +306,51 @@ Compiler::compileSegments(
         return out;
     }
 
-    CompileContext ctx(device_, options_, *scheduler_,
-                       scheduler_state_.get(), *provider_,
-                       std::move(segments));
-    ctx.program.pulse_method = options_.pulse;
-    ctx.program.sched_policy = options_.sched;
-    ctx.program.calib_epoch = device_.calibration().epoch;
-
     const auto compile_start = Clock::now();
-    for (const std::shared_ptr<const Pass> &pass : passes_) {
-        StageDiagnostics stage;
-        stage.stage = pass->name();
-        const auto layers_before = ctx.program.schedule.layers.size();
-        const auto gates_before = ctx.program.native.size();
-        const auto stage_start = Clock::now();
-        stage.start_ms = millisecondsSince(compile_start);
-        try {
-            pass->run(ctx);
-        } catch (const UserError &e) {
-            ctx.fail(pass->name(), e.what(),
-                     CompileStatusCode::InvalidInput);
-        } catch (const InternalError &e) {
-            ctx.fail(pass->name(), e.what(),
-                     CompileStatusCode::Internal);
-        } catch (const std::exception &e) {
-            // Custom passes / providers may throw anything; map it to
-            // the status channel rather than letting it escape a
-            // compileBatch() worker thread (std::terminate).
-            ctx.fail(pass->name(), e.what(),
-                     CompileStatusCode::Internal);
+    std::vector<ckt::QuantumCircuit> routed, native;
+    GateDurations durations;
+    runStage("route", compile_start, out, [&] {
+        routed = routeSegments(segments, device_.graph(),
+                               out.program.final_layout,
+                               out.diagnostics.swaps_inserted);
+    });
+    runStage("lower", compile_start, out, [&] {
+        out.program.native = ckt::QuantumCircuit(
+            device_.numQubits(), segments.front().name());
+        native = lowerSegments(routed, device_.graph(),
+                               out.program.native);
+    });
+    runStage("schedule", compile_start, out, [&] {
+        // Durations come from the pulse library (e.g. DCG stretches
+        // SX to 120 ns), so the library is fetched here, before the
+        // pulses stage.
+        if (!fetchLibrary(*provider_, options_.pulse, out, durations))
+            return;
+        Schedule &schedule = out.program.schedule;
+        schedule.num_qubits = device_.numQubits();
+        for (const ckt::QuantumCircuit &segment : native) {
+            Schedule part = scheduler_->schedule(
+                segment, device_, durations, scheduler_state_.get());
+            for (Layer &layer : part.layers)
+                schedule.layers.push_back(std::move(layer));
         }
-        stage.wall_ms = millisecondsSince(stage_start);
-        stage.layers_added =
-            int(ctx.program.schedule.layers.size() - layers_before);
-        stage.gates_added =
-            int(ctx.program.native.size() - gates_before);
-        ctx.diagnostics.stages.push_back(std::move(stage));
-        if (!ctx.status.ok())
-            break;
-    }
-    ctx.diagnostics.total_ms = millisecondsSince(compile_start);
-    ctx.diagnostics.swaps_inserted = ctx.swaps_inserted;
-    ctx.program.final_layout = std::move(ctx.final_layout);
-    if (ctx.status.ok()) {
-        const Schedule &sched = ctx.program.schedule;
-        ctx.diagnostics.physical_layers = sched.physicalLayerCount();
-        ctx.diagnostics.mean_nc = sched.meanNc();
-        ctx.diagnostics.max_nq = sched.maxNq();
-        ctx.diagnostics.execution_time_ns = sched.executionTime();
-        ctx.diagnostics.mean_residual_zz =
+    });
+    runStage("pulses", compile_start, out, [&] {
+        // The schedule stage already attached the library for its
+        // durations, so this finds it in place; the stage is kept so
+        // diagnostics and trace spans show all four stages.
+        fetchLibrary(*provider_, options_.pulse, out, durations);
+    });
+    out.diagnostics.total_ms = millisecondsSince(compile_start);
+    if (out.ok()) {
+        const Schedule &sched = out.program.schedule;
+        out.diagnostics.physical_layers = sched.physicalLayerCount();
+        out.diagnostics.mean_nc = sched.meanNc();
+        out.diagnostics.max_nq = sched.maxNq();
+        out.diagnostics.execution_time_ns = sched.executionTime();
+        out.diagnostics.mean_residual_zz =
             meanResidualZz(sched, device_.couplings());
     }
-
-    out.program = std::move(ctx.program);
-    out.diagnostics = std::move(ctx.diagnostics);
-    out.status = std::move(ctx.status);
     return out;
 }
 
@@ -444,13 +419,6 @@ CompilerBuilder::schedPolicy(SchedPolicy p)
 }
 
 CompilerBuilder &
-CompilerBuilder::zzxOptions(const ZzxOptions &opt)
-{
-    options_.zzx = opt;
-    return *this;
-}
-
-CompilerBuilder &
 CompilerBuilder::scheduler(std::shared_ptr<const Scheduler> s)
 {
     scheduler_ = std::move(s);
@@ -464,21 +432,6 @@ CompilerBuilder::pulseProvider(std::shared_ptr<PulseProvider> p)
     return *this;
 }
 
-CompilerBuilder &
-CompilerBuilder::addPass(std::shared_ptr<const Pass> pass)
-{
-    extra_passes_.push_back(std::move(pass));
-    return *this;
-}
-
-CompilerBuilder &
-CompilerBuilder::passes(std::vector<std::shared_ptr<const Pass>> passes)
-{
-    replaced_passes_ = std::move(passes);
-    replace_pipeline_ = true;
-    return *this;
-}
-
 Compiler
 CompilerBuilder::build() const
 {
@@ -487,12 +440,8 @@ CompilerBuilder::build() const
                    : makeScheduler(options_.sched, options_.zzx);
     std::shared_ptr<PulseProvider> provider =
         provider_ ? provider_ : defaultPulseProvider();
-    std::vector<std::shared_ptr<const Pass>> pipeline =
-        replace_pipeline_ ? replaced_passes_ : defaultPassPipeline();
-    pipeline.insert(pipeline.end(), extra_passes_.begin(),
-                    extra_passes_.end());
     return Compiler(device_, options_, std::move(scheduler),
-                    std::move(provider), std::move(pipeline));
+                    std::move(provider));
 }
 
 } // namespace qzz::core

@@ -1,33 +1,32 @@
 /**
  * @file
- * Stage-based compilation API.
+ * The compiler: the paper's framework (Fig. 2) as one fixed pipeline
+ * of four stages, run in this order by Compiler:
  *
- * The paper's framework (Fig. 2) is a four-stage pipeline — route to
- * the topology, lower to the native gate set, schedule, attach pulses.
- * This header makes that pipeline explicit and extensible:
+ *  route     route every segment to the topology, threading the
+ *            qubit layout from one segment to the next;
+ *  lower     decompose to the native gate set;
+ *  schedule  layer the native circuit with the configured Scheduler;
+ *  pulses    attach the pulse library to the program.
  *
- *  - Pass            one pipeline stage operating on a CompileContext.
- *  - CompileContext  the state threaded through the passes (segments,
- *                    layout, native circuit, schedule, diagnostics,
- *                    status channel).
- *  - Scheduler       scheduling-policy interface (ParScheduler,
- *                    ZzxScheduler; open to new policies such as
- *                    cycle-aware variants).
- *  - PulseProvider   pulse-library source with shared ownership
- *                    (process-wide calibration cache, or a fixed
+ * Two seams select what the stages use without touching them:
+ *
+ *  - Scheduler       the scheduling policy (ParScheduler, ZzxScheduler,
+ *                    ExactScheduler, CycleScheduler; makeScheduler()
+ *                    maps a SchedPolicy onto one).
+ *  - PulseProvider   the pulse-library source, with shared ownership
+ *                    (the process-wide calibration cache, or a fixed
  *                    injected library, e.g. a DD-substituted one).
- *  - Compiler        an immutable pipeline built by CompilerBuilder;
- *                    compile() / compileSegments() / compileBatch().
  *
- * Passes report failures through the context's structured status
- * channel instead of throwing; the legacy compileForDevice() /
- * compileSegmentsForDevice() shims in core/framework.h translate a
- * failed status back into fatal()/panic() for old callers.
+ * A compile does not throw: a failure lands on CompileResult::status,
+ * named by the stage that failed, and every stage that ran records its
+ * wall time and work counters in CompileResult::diagnostics.
+ * unwrapOrThrow() turns a failed status back into an exception.
  *
- * A Compiler is immutable after build() and safe to share across
- * threads: compileBatch() runs one CompileContext per circuit on a
- * small thread pool while sharing the device routing tables and the
- * pulse library.
+ * A Compiler is immutable after CompilerBuilder::build() and safe to
+ * share across threads: compileBatch() compiles many circuits on a
+ * small thread pool while sharing the device routing tables, the
+ * scheduler state and the pulse library.
  */
 
 #ifndef QZZ_CORE_COMPILER_H
@@ -47,27 +46,27 @@ namespace qzz::core {
 // Diagnostics and status channel
 // ---------------------------------------------------------------------------
 
-/** Wall time and work counters of one executed pass. */
+/** Wall time and work counters of one executed stage. */
 struct StageDiagnostics
 {
-    /** Pass name (e.g. "route", "schedule"). */
+    /** Stage name: "route", "lower", "schedule" or "pulses". */
     std::string stage;
-    /** Wall-clock time spent in the pass (ms). */
+    /** Wall-clock time spent in the stage (ms). */
     double wall_ms = 0.0;
-    /** Offset of the pass start from the start of the pass pipeline
-     *  (ms) — wall_ms laid out on a common timeline, so callers (the
-     *  service's trace spans) can reconstruct per-pass intervals. */
+    /** Offset of the stage start from the start of the compile (ms) —
+     *  wall_ms laid out on a common timeline, so callers (the
+     *  service's trace spans) can reconstruct per-stage intervals. */
     double start_ms = 0.0;
-    /** Schedule layers appended by the pass (schedule stage). */
+    /** Schedule layers appended by the stage (schedule stage). */
     int layers_added = 0;
-    /** Native gates appended by the pass (lower stage). */
+    /** Native gates appended by the stage (lower stage). */
     int gates_added = 0;
 };
 
 /** Per-compilation diagnostics accumulated across the pipeline. */
 struct CompileDiagnostics
 {
-    /** One entry per executed pass, in execution order. */
+    /** One entry per executed stage, in execution order. */
     std::vector<StageDiagnostics> stages;
     /** End-to-end compile wall time (ms). */
     double total_ms = 0.0;
@@ -95,11 +94,12 @@ enum class CompileStatusCode
     Internal,     ///< violated library invariant; maps to panic()
 };
 
-/** Structured error/status channel carried by CompileContext. */
+/** Structured error/status channel of one compilation. */
 struct CompileStatus
 {
     CompileStatusCode code = CompileStatusCode::Ok;
-    /** Name of the pass that failed (empty on success or validation). */
+    /** Name of the stage that failed (empty on success or when the
+     *  input was rejected before the first stage). */
     std::string pass;
     /** Human-readable failure description. */
     std::string message;
@@ -330,123 +330,6 @@ class FixedPulseProvider final : public PulseProvider
 std::shared_ptr<PulseProvider> defaultPulseProvider();
 
 // ---------------------------------------------------------------------------
-// CompileContext and Pass
-// ---------------------------------------------------------------------------
-
-/**
- * The state a compilation threads through its passes.  Inputs
- * (device, options, services) are immutable references owned by the
- * Compiler; working state is private to this context, so concurrent
- * compilations never share a context.
- */
-class CompileContext
-{
-  public:
-    CompileContext(const dev::Device &device, const CompileOptions &opt,
-                   const Scheduler &scheduler,
-                   const SchedulerState *scheduler_state,
-                   PulseProvider &provider,
-                   std::vector<ckt::QuantumCircuit> segments);
-
-    /** @name Immutable inputs and services
-     *  @{ */
-    const dev::Device &device;
-    const CompileOptions &options;
-    const Scheduler &scheduler;
-    const SchedulerState *scheduler_state;
-    PulseProvider &provider;
-    /** @} */
-
-    /** @name Working state
-     *  @{ */
-    /** Barrier-separated input segments (one for a plain compile). */
-    std::vector<ckt::QuantumCircuit> segments;
-    /** Routed segments over physical qubits (set by RoutePass). */
-    std::vector<ckt::QuantumCircuit> routed_segments;
-    /** Native-gate segments (set by LowerPass). */
-    std::vector<ckt::QuantumCircuit> native_segments;
-    /** final_layout[logical] = physical qubit after the last segment. */
-    std::vector<int> final_layout;
-    /** SWAPs inserted so far. */
-    int swaps_inserted = 0;
-    /** Per-gate durations; valid once ensureLibrary() has run. */
-    GateDurations durations;
-    /** The program being assembled (native, schedule, library). */
-    CompiledProgram program;
-    /** @} */
-
-    /** Structured error/status channel (replaces fatal()). */
-    CompileStatus status;
-    /** Per-stage diagnostics (wall time, layer/gate counts). */
-    CompileDiagnostics diagnostics;
-
-    /** Record a caller-input failure; later passes are skipped. */
-    void fail(std::string pass, std::string message,
-              CompileStatusCode code = CompileStatusCode::InvalidInput);
-
-    /**
-     * Fetch the pulse library from the provider (once) and derive the
-     * gate durations from it.  Returns nullptr — with the status
-     * channel set — when the provider has no library to give.
-     */
-    const pulse::PulseLibrary *ensureLibrary();
-};
-
-/**
- * One pipeline stage.  run() must be const and reentrant — pass
- * objects are shared between the compilations of a batch.  Failures
- * are reported via ctx.fail(); exceptions thrown by qzz primitives
- * (UserError / InternalError) are converted to a failed status by the
- * pass runner.
- */
-class Pass
-{
-  public:
-    virtual ~Pass() = default;
-
-    /** Short stage name used in diagnostics, e.g. "route". */
-    virtual std::string name() const = 0;
-
-    /** Execute the stage on @p ctx. */
-    virtual void run(CompileContext &ctx) const = 0;
-};
-
-/** Route every segment to the topology, threading the layout. */
-class RoutePass final : public Pass
-{
-  public:
-    std::string name() const override { return "route"; }
-    void run(CompileContext &ctx) const override;
-};
-
-/** Lower routed segments to the native gate set. */
-class LowerPass final : public Pass
-{
-  public:
-    std::string name() const override { return "lower"; }
-    void run(CompileContext &ctx) const override;
-};
-
-/** Layer each native segment with the configured Scheduler. */
-class SchedulePass final : public Pass
-{
-  public:
-    std::string name() const override { return "schedule"; }
-    void run(CompileContext &ctx) const override;
-};
-
-/** Attach the pulse library to the compiled program. */
-class AttachPulsesPass final : public Pass
-{
-  public:
-    std::string name() const override { return "pulses"; }
-    void run(CompileContext &ctx) const override;
-};
-
-/** The paper's pipeline: route, lower, schedule, attach pulses. */
-std::vector<std::shared_ptr<const Pass>> defaultPassPipeline();
-
-// ---------------------------------------------------------------------------
 // Compiler
 // ---------------------------------------------------------------------------
 
@@ -462,10 +345,10 @@ struct CompileResult
 };
 
 /**
- * Surface a failed CompileResult with the legacy throwing behavior —
- * InvalidInput via fatal() (UserError), Internal via panic()
- * (InternalError) — or return the program on success.  Used by the
- * compileForDevice() shims and the exp:: evaluators.
+ * The program of a successful @p result, or its failure as an
+ * exception: InvalidInput via fatal() (UserError), Internal via
+ * panic() (InternalError).  For callers that want a failed compile to
+ * throw, such as the exp:: fidelity evaluators.
  */
 CompiledProgram unwrapOrThrow(CompileResult result);
 
@@ -492,8 +375,8 @@ struct BatchResult
 };
 
 /**
- * An immutable compilation pipeline bound to one device and one
- * configuration.  Built by CompilerBuilder; safe to share across
+ * The four-stage pipeline bound to one device and one configuration.
+ * Built by CompilerBuilder; immutable and safe to share across
  * threads.  Per-device tables (scheduler state) are precomputed at
  * build time and reused by every compile.
  */
@@ -515,8 +398,8 @@ class Compiler
     /**
      * Compile @p circuits concurrently on a thread pool.  Routing
      * tables, scheduler state and the pulse library are shared; each
-     * circuit gets its own CompileContext, and results land in input
-     * order.  Output is identical to calling compile() sequentially.
+     * circuit compiles with its own working state, and results land in
+     * input order.  Output is identical to calling compile() sequentially.
      */
     BatchResult
     compileBatch(const std::vector<ckt::QuantumCircuit> &circuits,
@@ -525,24 +408,18 @@ class Compiler
     const dev::Device &device() const { return device_; }
     const CompileOptions &options() const { return options_; }
     const Scheduler &scheduler() const { return *scheduler_; }
-    const std::vector<std::shared_ptr<const Pass>> &passes() const
-    {
-        return passes_;
-    }
 
   private:
     friend class CompilerBuilder;
     Compiler(dev::Device device, CompileOptions options,
              std::shared_ptr<const Scheduler> scheduler,
-             std::shared_ptr<PulseProvider> provider,
-             std::vector<std::shared_ptr<const Pass>> passes);
+             std::shared_ptr<PulseProvider> provider);
 
     dev::Device device_;
     CompileOptions options_;
     std::shared_ptr<const Scheduler> scheduler_;
     std::shared_ptr<const SchedulerState> scheduler_state_;
     std::shared_ptr<PulseProvider> provider_;
-    std::vector<std::shared_ptr<const Pass>> passes_;
 };
 
 /**
@@ -556,9 +433,8 @@ class Compiler
  *   core::CompileResult r = c.compile(circuit);
  * @endcode
  *
- * Custom Scheduler / PulseProvider implementations override the
- * enum-selected defaults; addPass() appends extra stages after the
- * default pipeline, passes() replaces it wholesale.
+ * A custom Scheduler / PulseProvider overrides the enum-selected
+ * default.
  */
 class CompilerBuilder
 {
@@ -572,17 +448,11 @@ class CompilerBuilder
     CompilerBuilder &options(const CompileOptions &opt);
     CompilerBuilder &pulseMethod(PulseMethod m);
     CompilerBuilder &schedPolicy(SchedPolicy p);
-    CompilerBuilder &zzxOptions(const ZzxOptions &opt);
 
     /** Inject a scheduling policy (overrides schedPolicy()). */
     CompilerBuilder &scheduler(std::shared_ptr<const Scheduler> s);
     /** Inject a pulse source (overrides pulseMethod() lookup). */
     CompilerBuilder &pulseProvider(std::shared_ptr<PulseProvider> p);
-    /** Append a custom stage after the current pipeline. */
-    CompilerBuilder &addPass(std::shared_ptr<const Pass> pass);
-    /** Replace the pipeline wholesale. */
-    CompilerBuilder &
-    passes(std::vector<std::shared_ptr<const Pass>> passes);
 
     /** Assemble the Compiler (precomputes per-device tables). */
     Compiler build() const;
@@ -592,9 +462,6 @@ class CompilerBuilder
     CompileOptions options_;
     std::shared_ptr<const Scheduler> scheduler_;
     std::shared_ptr<PulseProvider> provider_;
-    std::vector<std::shared_ptr<const Pass>> extra_passes_;
-    std::vector<std::shared_ptr<const Pass>> replaced_passes_;
-    bool replace_pipeline_ = false;
 };
 
 } // namespace qzz::core

@@ -1,20 +1,13 @@
 /**
  * @file
- * The co-optimization framework (Fig. 2 of the paper): one entry point
- * that takes a logical circuit and a device and produces an executable
- * pulse schedule under a chosen (pulse method x scheduling policy)
- * configuration.
+ * The vocabulary of the co-optimization framework (Fig. 2 of the
+ * paper): the scheduling policies, one compilation configuration
+ * (pulse method x scheduling policy), the compiled program, and the
+ * Sec. 8 DD identity substitution.
  *
- * Pipeline: route to the topology -> lower to the native gate set ->
- * schedule (ParSched or ZZXSched) -> attach the pulse library.
- *
- * @note compileForDevice() / compileSegmentsForDevice() are thin
- * shims over the stage-based API in core/compiler.h (Compiler /
- * CompilerBuilder), which additionally exposes per-stage diagnostics,
- * injectable schedulers and pulse providers, a structured status
- * channel, and multi-threaded batch compilation.  New code should
- * prefer the Compiler API; these shims are kept for the paper-figure
- * reproductions and produce bit-identical output.
+ * The pipeline that turns a logical circuit into a CompiledProgram —
+ * route, lower, schedule, attach pulses — is core::Compiler in
+ * core/compiler.h.
  */
 
 #ifndef QZZ_CORE_FRAMEWORK_H
@@ -101,38 +94,6 @@ struct CompiledProgram
      *  artifacts by recalibration. */
     uint64_t calib_epoch = 0;
 };
-
-/**
- * Compile @p logical for @p dev under @p opt.
- *
- * Shim over core::Compiler (see core/compiler.h); a failed compile
- * raises UserError / InternalError exactly like the historical
- * implementation.
- *
- * @param logical the benchmark circuit (any gate kinds).
- * @param dev     target device.
- * @param opt     pulse method and scheduling policy.
- */
-CompiledProgram compileForDevice(const ckt::QuantumCircuit &logical,
-                                 const dev::Device &dev,
-                                 const CompileOptions &opt);
-
-/**
- * Compile a barrier-separated circuit (Sec. 8 composition with
- * XtalkSched / ColorDynamic): each segment is routed, lowered and
- * scheduled independently (a hard barrier between segments), with the
- * qubit layout threaded from one segment to the next.  The returned
- * schedule is the concatenation.
- *
- * Shim over core::Compiler::compileSegments().
- *
- * @param segments the sub-circuits produced by an outer crosstalk
- *                 pass; all must use the same logical register size.
- */
-CompiledProgram
-compileSegmentsForDevice(const std::vector<ckt::QuantumCircuit> &segments,
-                         const dev::Device &dev,
-                         const CompileOptions &opt);
 
 /**
  * Dynamical-decoupling substitution (Sec. 8): replace a library's

@@ -1,7 +1,5 @@
 #include "exp/pipeline.h"
 
-#include "common/error.h"
-
 namespace qzz::exp {
 
 std::string
@@ -14,15 +12,6 @@ configName(const core::CompileOptions &opt)
 }
 
 namespace {
-
-/** Run the compiler and surface a failed status like the legacy
- *  throwing entry points did. */
-core::CompiledProgram
-compileOrThrow(const core::Compiler &compiler,
-               const ckt::QuantumCircuit &logical)
-{
-    return core::unwrapOrThrow(compiler.compile(logical));
-}
 
 FidelityResult
 makeResult(const ckt::QuantumCircuit &logical,
@@ -46,7 +35,8 @@ evaluateFidelity(const ckt::QuantumCircuit &logical,
                  const core::Compiler &compiler,
                  const sim::PulseSimOptions &sim_opt)
 {
-    core::CompiledProgram prog = compileOrThrow(compiler, logical);
+    core::CompiledProgram prog =
+        core::unwrapOrThrow(compiler.compile(logical));
     FidelityResult res =
         makeResult(logical, compiler.options(), prog);
 
@@ -64,7 +54,8 @@ evaluateFidelityWithDecoherence(const ckt::QuantumCircuit &logical,
                                 const core::Compiler &compiler,
                                 const sim::PulseSimOptions &sim_opt)
 {
-    core::CompiledProgram prog = compileOrThrow(compiler, logical);
+    core::CompiledProgram prog =
+        core::unwrapOrThrow(compiler.compile(logical));
     FidelityResult res =
         makeResult(logical, compiler.options(), prog);
 
@@ -75,28 +66,6 @@ evaluateFidelityWithDecoherence(const ckt::QuantumCircuit &logical,
         sim::runIdealSchedule(prog.schedule);
     res.fidelity = actual.expectationPure(ideal);
     return res;
-}
-
-FidelityResult
-evaluateFidelity(const ckt::QuantumCircuit &logical,
-                 const dev::Device &device,
-                 const core::CompileOptions &opt,
-                 const sim::PulseSimOptions &sim_opt)
-{
-    const core::Compiler compiler =
-        core::CompilerBuilder(device).options(opt).build();
-    return evaluateFidelity(logical, compiler, sim_opt);
-}
-
-FidelityResult
-evaluateFidelityWithDecoherence(const ckt::QuantumCircuit &logical,
-                                const dev::Device &device,
-                                const core::CompileOptions &opt,
-                                const sim::PulseSimOptions &sim_opt)
-{
-    const core::Compiler compiler =
-        core::CompilerBuilder(device).options(opt).build();
-    return evaluateFidelityWithDecoherence(logical, compiler, sim_opt);
 }
 
 } // namespace qzz::exp

@@ -38,29 +38,10 @@ struct FidelityResult
 };
 
 /**
- * Evaluate one configuration with pure-state pulse simulation.
- *
- * @param logical logical benchmark circuit.
- * @param device  target device.
- * @param opt     pulse method + scheduling policy.
- * @param sim_opt integrator controls.
- */
-FidelityResult evaluateFidelity(const ckt::QuantumCircuit &logical,
-                                const dev::Device &device,
-                                const core::CompileOptions &opt,
-                                const sim::PulseSimOptions &sim_opt = {});
-
-/** Same, with T1/T2 decoherence (density-matrix simulation). */
-FidelityResult
-evaluateFidelityWithDecoherence(const ckt::QuantumCircuit &logical,
-                                const dev::Device &device,
-                                const core::CompileOptions &opt,
-                                const sim::PulseSimOptions &sim_opt = {});
-
-/**
- * Evaluate using a prebuilt core::Compiler (the stage-based API).
- * Reusing one compiler across the circuits of a figure shares the
- * per-device routing tables and the pulse library.
+ * Compile @p logical with @p compiler (a failed compile throws, see
+ * core::unwrapOrThrow()) and evaluate it with pure-state pulse
+ * simulation.  Reusing one compiler across the circuits of a figure
+ * shares the per-device routing tables and the pulse library.
  */
 FidelityResult evaluateFidelity(const ckt::QuantumCircuit &logical,
                                 const core::Compiler &compiler,

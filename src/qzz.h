@@ -6,10 +6,11 @@
  * for faster builds; this header is a convenience for examples and
  * downstream applications.
  *
- * @section migration Migration note (stage-based compiler API)
+ * @section compile Compiling a circuit
  *
- * Compilation is now built around an explicit pass pipeline
- * (core/compiler.h).  The canonical entry point is:
+ * Compilation is one fixed pipeline — route, lower, schedule, attach
+ * pulses (Fig. 2 of the paper) — run by core::Compiler
+ * (core/compiler.h):
  *
  * @code
  *   core::Compiler compiler = core::CompilerBuilder(device)
@@ -20,20 +21,15 @@
  *   core::BatchResult batch = compiler.compileBatch(circuits);
  * @endcode
  *
- * Differences from the legacy free functions:
- *  - errors arrive on result.status (a structured channel) instead of
- *    thrown UserError/InternalError;
+ *  - errors arrive on result.status (a structured channel, named by
+ *    the failing stage); core::unwrapOrThrow() turns a failure into
+ *    UserError / InternalError for callers that want a throw;
  *  - result.diagnostics carries per-stage wall times and NC/NQ stats;
- *  - schedulers (core::Scheduler) and pulse sources
+ *  - the scheduling policy (core::Scheduler) and the pulse source
  *    (core::PulseProvider) are injectable, and CompiledProgram owns
- *    its pulse library via shared_ptr rather than borrowing a
- *    process-global pointer;
+ *    its pulse library via shared_ptr;
  *  - compileBatch() compiles many circuits across a thread pool while
  *    sharing routing tables and pulse libraries.
- *
- * core::compileForDevice() / core::compileSegmentsForDevice() remain
- * as thin shims with bit-identical output and the historical throwing
- * behavior.
  */
 
 #ifndef QZZ_QZZ_H

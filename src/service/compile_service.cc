@@ -690,7 +690,7 @@ CompileService::emitTrace(const TaskPtr &task,
         return;
     // Span starts are laid out sequentially from the wall-clock
     // enqueue time: queue wait, then the cache probe, then the
-    // compile (whose pass children carry their measured offsets),
+    // compile (whose stage children carry their measured offsets),
     // then the artifact write.  Every duration is measured; only the
     // start offsets are reconstructed.
     const double base = task->enqueued_unix_ms;

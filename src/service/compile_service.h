@@ -45,7 +45,7 @@
  * (the full completion history, not a lossy recent-sample window).
  * When a TraceLog is configured, every request additionally leaves a
  * span tree behind (service/trace.h): queue-wait, cache probe, the
- * compile with its per-pass children, and the artifact write.
+ * compile with its per-stage children, and the artifact write.
  *
  * The JSON-lines wire protocol examples/compile_server speaks on top
  * of this service is specified in docs/protocol.md.

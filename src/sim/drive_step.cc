@@ -1,7 +1,11 @@
 #include "sim/drive_step.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include "common/error.h"
 #include "linalg/expm.h"
+#include "sim/state_vector.h"
 
 namespace qzz::sim {
 
@@ -28,6 +32,44 @@ int
 pulseKindIndex(PulseGate k)
 {
     return k == PulseGate::SX ? 0 : (k == PulseGate::Identity ? 1 : 2);
+}
+
+std::vector<PulseJob>
+collectJobs(const core::Layer &layer, const pulse::PulseLibrary &library)
+{
+    std::vector<PulseJob> jobs;
+    jobs.reserve(layer.gates.size());
+    for (const core::ScheduledGate &sg : layer.gates) {
+        const PulseGate kind = pulseGateOf(sg.gate);
+        PulseJob j;
+        j.program = &library.get(kind);
+        j.kind = kind;
+        j.q0 = sg.gate.qubits[0];
+        j.q1 = sg.gate.isTwoQubit() ? sg.gate.qubits[1] : -1;
+        jobs.push_back(j);
+    }
+    return jobs;
+}
+
+size_t
+layerSteps(const core::Layer &layer, double dt_opt, double &dt)
+{
+    const size_t steps = std::max<size_t>(
+        1, size_t(std::ceil(layer.duration / dt_opt)));
+    dt = layer.duration / double(steps);
+    return steps;
+}
+
+std::vector<double>
+deviceZzEnergies(const dev::Device &device, double crosstalk_scale)
+{
+    std::vector<std::array<int, 2>> edges;
+    std::vector<double> lambdas;
+    for (const graph::Edge &e : device.graph().edges()) {
+        edges.push_back({e.u, e.v});
+        lambdas.push_back(device.coupling(e.id) * crosstalk_scale);
+    }
+    return zzEnergyTable(device.numQubits(), edges, lambdas);
 }
 
 void

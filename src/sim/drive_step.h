@@ -13,6 +13,9 @@
  * lookup.  Entries are bit-identical to the un-memoized path
  * (expPauli / expmPropagator4 transcribe the CMatrix kernels), so
  * memoization never changes results.
+ *
+ * The layer setup both simulators share lives here too: a layer's
+ * pulse jobs, its Strang step count, and the device's ZZ energy table.
  */
 
 #ifndef QZZ_SIM_DRIVE_STEP_H
@@ -22,6 +25,8 @@
 #include <vector>
 
 #include "circuit/gate.h"
+#include "core/schedule.h"
+#include "device/device.h"
 #include "linalg/matrix.h"
 #include "pulse/library.h"
 
@@ -33,6 +38,31 @@ pulse::PulseGate pulseGateOf(const ckt::Gate &g);
 
 /** Dense 0..2 index for the three pulsed gate kinds. */
 int pulseKindIndex(pulse::PulseGate k);
+
+/** @name Layer setup shared by the schedule simulators
+ *  @{ */
+
+/** One pulse job of a layer, with the library lookup done once. */
+struct PulseJob
+{
+    const pulse::PulseProgram *program;
+    pulse::PulseGate kind;
+    int q0, q1; // q1 = -1 for single-qubit jobs
+};
+
+/** The pulse jobs of one physical layer, in gate order. */
+std::vector<PulseJob> collectJobs(const core::Layer &layer,
+                                  const pulse::PulseLibrary &library);
+
+/** Step count of one physical layer at a Strang step of at most
+ *  @p dt_opt; the exact step width lands in @p dt. */
+size_t layerSteps(const core::Layer &layer, double dt_opt, double &dt);
+
+/** The diagonal ZZ bath of @p device (zzEnergyTable() over every
+ *  coupling), each rate scaled by @p crosstalk_scale. */
+std::vector<double> deviceZzEnergies(const dev::Device &device,
+                                     double crosstalk_scale);
+/** @} */
 
 /** Instantaneous 2x2 drive propagator over @p dt at pulse time
  *  @p t_mid, written into @p out (no heap). */

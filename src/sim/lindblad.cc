@@ -18,14 +18,7 @@ DensityMatrixScheduleSimulator::DensityMatrixScheduleSimulator(
     : device_(device), library_(library), options_(options)
 {
     require(options_.dt > 0.0, "DensityMatrixScheduleSimulator: bad dt");
-    std::vector<std::array<int, 2>> edges;
-    std::vector<double> lambdas;
-    for (const graph::Edge &e : device_.graph().edges()) {
-        edges.push_back({e.u, e.v});
-        lambdas.push_back(device_.coupling(e.id) *
-                          options_.crosstalk_scale);
-    }
-    zz_energies_ = zzEnergyTable(device_.numQubits(), edges, lambdas);
+    zz_energies_ = deviceZzEnergies(device_, options_.crosstalk_scale);
     for (int q = 0; q < device_.numQubits(); ++q)
         if (std::isfinite(device_.t1(q)) ||
             std::isfinite(device_.t2(q)))
@@ -33,43 +26,6 @@ DensityMatrixScheduleSimulator::DensityMatrixScheduleSimulator(
     if (options_.telemetry)
         metrics_ = simMetrics("density");
 }
-
-namespace {
-
-struct Job
-{
-    const PulseProgram *program;
-    PulseGate kind;
-    int q0, q1; // q1 = -1 for single-qubit jobs
-};
-
-std::vector<Job>
-collectJobs(const core::Layer &layer, const pulse::PulseLibrary &library)
-{
-    std::vector<Job> jobs;
-    jobs.reserve(layer.gates.size());
-    for (const core::ScheduledGate &sg : layer.gates) {
-        const PulseGate kind = pulseGateOf(sg.gate);
-        Job j;
-        j.program = &library.get(kind);
-        j.kind = kind;
-        j.q0 = sg.gate.qubits[0];
-        j.q1 = sg.gate.isTwoQubit() ? sg.gate.qubits[1] : -1;
-        jobs.push_back(j);
-    }
-    return jobs;
-}
-
-size_t
-layerSteps(const core::Layer &layer, double dt_opt, double &dt)
-{
-    const size_t steps = std::max<size_t>(
-        1, size_t(std::ceil(layer.duration / dt_opt)));
-    dt = layer.duration / double(steps);
-    return steps;
-}
-
-} // namespace
 
 void
 DensityMatrixScheduleSimulator::decoherenceFactors(
@@ -122,7 +78,7 @@ DensityMatrixScheduleSimulator::runLayerImpl(const core::Layer &layer,
 
     double dt = 0.0;
     const size_t steps = layerSteps(layer, options_.dt, dt);
-    const std::vector<Job> jobs = collectJobs(layer, library_);
+    const std::vector<PulseJob> jobs = collectJobs(layer, library_);
 
     if (any_decoherence_) {
         std::vector<double> gamma, keep;
@@ -145,7 +101,7 @@ DensityMatrixScheduleSimulator::runLayerImpl(const core::Layer &layer,
         const double t_mid = (double(s) + 0.5) * dt;
         gate_t.start();
         ws.active.clear();
-        for (const Job &j : jobs) {
+        for (const PulseJob &j : jobs) {
             if (t_mid >= j.program->duration)
                 continue; // this gate's pulses already ended
             const la::cplx *u =

@@ -18,15 +18,7 @@ PulseScheduleSimulator::PulseScheduleSimulator(
     : device_(device), library_(library), options_(options)
 {
     require(options_.dt > 0.0, "PulseScheduleSimulator: bad dt");
-    std::vector<std::array<int, 2>> edges;
-    std::vector<double> lambdas;
-    for (const graph::Edge &e : device_.graph().edges()) {
-        edges.push_back({e.u, e.v});
-        lambdas.push_back(device_.coupling(e.id) *
-                          options_.crosstalk_scale);
-    }
-    zz_energies_ =
-        zzEnergyTable(device_.numQubits(), edges, lambdas);
+    zz_energies_ = deviceZzEnergies(device_, options_.crosstalk_scale);
     if (options_.telemetry)
         metrics_ = simMetrics("statevector");
 }
@@ -41,45 +33,6 @@ phaseVector(const std::vector<double> &energies, double dt)
     }
     return p;
 }
-
-namespace {
-
-/** One pulse job of a layer, with the library lookup done once. */
-struct Job
-{
-    const PulseProgram *program;
-    PulseGate kind;
-    int q0, q1; // q1 = -1 for single-qubit jobs
-};
-
-std::vector<Job>
-collectJobs(const core::Layer &layer, const pulse::PulseLibrary &library)
-{
-    std::vector<Job> jobs;
-    jobs.reserve(layer.gates.size());
-    for (const core::ScheduledGate &sg : layer.gates) {
-        const PulseGate kind = pulseGateOf(sg.gate);
-        Job j;
-        j.program = &library.get(kind);
-        j.kind = kind;
-        j.q0 = sg.gate.qubits[0];
-        j.q1 = sg.gate.isTwoQubit() ? sg.gate.qubits[1] : -1;
-        jobs.push_back(j);
-    }
-    return jobs;
-}
-
-/** Step count and width for one physical layer. */
-size_t
-layerSteps(const core::Layer &layer, double dt_opt, double &dt)
-{
-    const size_t steps = std::max<size_t>(
-        1, size_t(std::ceil(layer.duration / dt_opt)));
-    dt = layer.duration / double(steps);
-    return steps;
-}
-
-} // namespace
 
 void
 PulseScheduleSimulator::runLayer(const core::Layer &layer,
@@ -111,7 +64,7 @@ PulseScheduleSimulator::runLayerImpl(const core::Layer &layer,
 
     double dt = 0.0;
     const size_t steps = layerSteps(layer, options_.dt, dt);
-    const std::vector<Job> jobs = collectJobs(layer, library_);
+    const std::vector<PulseJob> jobs = collectJobs(layer, library_);
 
     // Phases are diagonal and the evolution has no mid-step Kraus
     // channel, so the trailing ZZ half-step of step s and the leading
@@ -130,7 +83,7 @@ PulseScheduleSimulator::runLayerImpl(const core::Layer &layer,
     for (size_t s = 0; s < steps; ++s) {
         const double t_mid = (double(s) + 0.5) * dt;
         gate_t.start();
-        for (const Job &j : jobs) {
+        for (const PulseJob &j : jobs) {
             if (t_mid >= j.program->duration)
                 continue; // this gate's pulses already ended
             if (j.q1 < 0)
@@ -159,7 +112,7 @@ PulseScheduleSimulator::runLayerScalar(const core::Layer &layer,
 {
     double dt = 0.0;
     const size_t steps = layerSteps(layer, options_.dt, dt);
-    const std::vector<Job> jobs = collectJobs(layer, library_);
+    const std::vector<PulseJob> jobs = collectJobs(layer, library_);
 
     for (size_t s = 0; s < steps; ++s) {
         const double t_mid = (double(s) + 0.5) * dt;
@@ -169,7 +122,7 @@ PulseScheduleSimulator::runLayerScalar(const core::Layer &layer,
         // share the same waveforms.
         CMatrix cached[3];
         bool have[3] = {false, false, false};
-        for (const Job &j : jobs) {
+        for (const PulseJob &j : jobs) {
             if (t_mid >= j.program->duration)
                 continue;
             const int ki = pulseKindIndex(j.kind);

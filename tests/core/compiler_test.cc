@@ -1,9 +1,8 @@
 /**
  * @file
- * Tests for the stage-based compilation API (core/compiler.h): the
- * builder, the default pass pipeline, the structured status channel,
- * per-stage diagnostics, injectable schedulers / pulse providers, and
- * the bit-identity of the legacy compileForDevice() shims.
+ * Tests for the compiler (core/compiler.h): the builder, the
+ * four-stage pipeline, the structured status channel, per-stage
+ * diagnostics, and injectable schedulers / pulse providers.
  */
 
 #include "core/compiler.h"
@@ -11,12 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <sstream>
+#include <stdexcept>
 
 #include "circuit/benchmarks.h"
 #include "common/units.h"
 #include "core/dcg.h"
-#include "core/schedule_io.h"
 #include "graph/topologies.h"
 #include "sim/ideal_sim.h"
 
@@ -29,19 +27,6 @@ device23(uint64_t seed = 3)
     Rng rng(seed);
     return dev::Device(graph::gridTopology(2, 3), dev::DeviceParams{},
                        rng);
-}
-
-/** Serialize a schedule so two compiles can be compared bit-for-bit. */
-std::string
-scheduleFingerprint(const Schedule &schedule,
-                    const pulse::PulseLibrary &library)
-{
-    std::ostringstream os;
-    ScheduleIoOptions opt;
-    opt.sample_dt = 0.0;
-    opt.pretty = false;
-    writeScheduleJson(schedule, library, os, opt);
-    return os.str();
 }
 
 ckt::QuantumCircuit
@@ -156,59 +141,6 @@ TEST(CompilerTest, StatusChannelReportsSegmentSizeMismatch)
     EXPECT_EQ(result.status.pass, "route");
 }
 
-TEST(CompilerTest, ShimProducesBitIdenticalSchedules)
-{
-    // Acceptance: compileForDevice must stay a faithful shim over the
-    // Compiler path.
-    auto dev = device23();
-    ckt::QuantumCircuit c = testCircuit(9);
-    for (SchedPolicy policy : {SchedPolicy::Par, SchedPolicy::Zzx}) {
-        CompileOptions opt;
-        opt.pulse = PulseMethod::Gaussian;
-        opt.sched = policy;
-
-        CompiledProgram via_shim = compileForDevice(c, dev, opt);
-        Compiler compiler = CompilerBuilder(dev).options(opt).build();
-        CompileResult via_api = compiler.compile(c);
-        ASSERT_TRUE(via_api.ok());
-
-        EXPECT_EQ(
-            scheduleFingerprint(via_shim.schedule, *via_shim.library),
-            scheduleFingerprint(via_api.program.schedule,
-                                *via_api.program.library));
-        ASSERT_EQ(via_shim.native.size(), via_api.program.native.size());
-        for (size_t i = 0; i < via_shim.native.size(); ++i) {
-            EXPECT_EQ(via_shim.native.gates()[i].kind,
-                      via_api.program.native.gates()[i].kind);
-            EXPECT_EQ(via_shim.native.gates()[i].qubits,
-                      via_api.program.native.gates()[i].qubits);
-        }
-        EXPECT_EQ(via_shim.final_layout, via_api.program.final_layout);
-    }
-}
-
-TEST(CompilerTest, SegmentShimMatchesCompilerSegments)
-{
-    auto dev = device23();
-    std::vector<ckt::QuantumCircuit> segments(2,
-                                              ckt::QuantumCircuit(6));
-    segments[0].cx(0, 5);
-    segments[1].cx(0, 5);
-    CompileOptions opt;
-    opt.pulse = PulseMethod::Gaussian;
-    opt.sched = SchedPolicy::Zzx;
-
-    CompiledProgram via_shim =
-        compileSegmentsForDevice(segments, dev, opt);
-    Compiler compiler = CompilerBuilder(dev).options(opt).build();
-    CompileResult via_api = compiler.compileSegments(segments);
-    ASSERT_TRUE(via_api.ok());
-    EXPECT_EQ(scheduleFingerprint(via_shim.schedule, *via_shim.library),
-              scheduleFingerprint(via_api.program.schedule,
-                                  *via_api.program.library));
-    EXPECT_EQ(via_shim.final_layout, via_api.program.final_layout);
-}
-
 TEST(CompilerTest, FixedPulseProviderInjectsLibrary)
 {
     // DD composition via the provider seam: every gate comes from the
@@ -273,74 +205,33 @@ TEST(CompilerTest, CustomSchedulerIsUsed)
     EXPECT_EQ(calls.load(), 1);
 }
 
-TEST(CompilerTest, CustomPassAppendsToPipeline)
-{
-    /** A post-pipeline stage: counts supplemented identities. */
-    class CountSupplementedPass final : public Pass
-    {
-      public:
-        explicit CountSupplementedPass(std::atomic<int> &count)
-            : count_(count)
-        {
-        }
-        std::string name() const override { return "count-suppl"; }
-        void
-        run(CompileContext &ctx) const override
-        {
-            int n = 0;
-            for (const Layer &layer : ctx.program.schedule.layers)
-                for (const ScheduledGate &sg : layer.gates)
-                    n += sg.supplemented ? 1 : 0;
-            count_.store(n);
-        }
-
-      private:
-        std::atomic<int> &count_;
-    };
-
-    auto dev = device23();
-    std::atomic<int> count{-1};
-    Compiler compiler =
-        CompilerBuilder(dev)
-            .pulseMethod(PulseMethod::Gaussian)
-            .schedPolicy(SchedPolicy::Zzx)
-            .addPass(std::make_shared<CountSupplementedPass>(count))
-            .build();
-    EXPECT_EQ(compiler.passes().size(), 5u);
-    CompileResult result = compiler.compile(testCircuit());
-    ASSERT_TRUE(result.ok());
-    // ZZXSched supplements identities, so the pass must have seen > 0.
-    EXPECT_GT(count.load(), 0);
-    ASSERT_EQ(result.diagnostics.stages.size(), 5u);
-    EXPECT_EQ(result.diagnostics.stages.back().stage, "count-suppl");
-}
-
 TEST(CompilerTest, ForeignExceptionsLandOnStatusChannel)
 {
-    /** A pass throwing a non-qzz exception: must surface as a failed
-     *  status, not escape (which would terminate compileBatch
+    /** A pulse source throwing a non-qzz exception: must surface as a
+     *  failed status, not escape (which would terminate compileBatch
      *  workers). */
-    class ThrowingPass final : public Pass
+    class ThrowingProvider final : public PulseProvider
     {
       public:
-        std::string name() const override { return "throwing"; }
-        void
-        run(CompileContext &ctx) const override
+        std::shared_ptr<const pulse::PulseLibrary>
+        library(PulseMethod method) override
         {
-            (void)ctx;
+            (void)method;
             throw std::runtime_error("external failure");
         }
     };
 
     auto dev = device23();
-    Compiler compiler = CompilerBuilder(dev)
-                            .pulseMethod(PulseMethod::Gaussian)
-                            .addPass(std::make_shared<ThrowingPass>())
-                            .build();
+    Compiler compiler =
+        CompilerBuilder(dev)
+            .pulseProvider(std::make_shared<ThrowingProvider>())
+            .build();
     CompileResult direct = compiler.compile(testCircuit());
     EXPECT_FALSE(direct.ok());
     EXPECT_EQ(direct.status.code, CompileStatusCode::Internal);
-    EXPECT_EQ(direct.status.pass, "throwing");
+    // The schedule stage is the first to need the library (for the
+    // gate durations).
+    EXPECT_EQ(direct.status.pass, "schedule");
     EXPECT_EQ(direct.status.message, "external failure");
 
     // And through the batch thread pool.
@@ -350,8 +241,40 @@ TEST(CompilerTest, ForeignExceptionsLandOnStatusChannel)
         {testCircuit(), testCircuit(8)}, opt);
     ASSERT_EQ(batch.results.size(), 2u);
     EXPECT_FALSE(batch.allOk());
-    for (const CompileResult &r : batch.results)
+    for (const CompileResult &r : batch.results) {
         EXPECT_EQ(r.status.code, CompileStatusCode::Internal);
+        EXPECT_EQ(r.status.pass, "schedule");
+        EXPECT_EQ(r.status.message, "external failure");
+    }
+}
+
+TEST(CompilerTest, ProviderWithoutLibraryStopsThePipeline)
+{
+    class EmptyProvider final : public PulseProvider
+    {
+      public:
+        std::shared_ptr<const pulse::PulseLibrary>
+        library(PulseMethod method) override
+        {
+            (void)method;
+            return nullptr;
+        }
+    };
+
+    auto dev = device23();
+    Compiler compiler =
+        CompilerBuilder(dev)
+            .pulseProvider(std::make_shared<EmptyProvider>())
+            .build();
+    CompileResult result = compiler.compile(testCircuit());
+    EXPECT_EQ(result.status.code, CompileStatusCode::InvalidInput);
+    EXPECT_EQ(result.status.pass, "pulses");
+    EXPECT_EQ(result.status.message, "pulse provider returned no library");
+    // The schedule stage asked for the library and stopped the
+    // pipeline there: no pulses stage ran.
+    ASSERT_EQ(result.diagnostics.stages.size(), 3u);
+    EXPECT_EQ(result.diagnostics.stages.back().stage, "schedule");
+    EXPECT_EQ(result.diagnostics.stages.back().layers_added, 0);
 }
 
 TEST(CompilerTest, ProgramOwnsLibraryAcrossCacheClear)

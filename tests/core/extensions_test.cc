@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "common/error.h"
 #include "common/units.h"
 #include "circuit/benchmarks.h"
 #include "circuit/decompose.h"
@@ -59,8 +58,9 @@ TEST(SegmentsTest, ConcatenationPreservesSemantics)
     CompileOptions opt;
     opt.pulse = PulseMethod::Gaussian;
     opt.sched = SchedPolicy::Zzx;
-    auto one = compileForDevice(whole, dev, opt);
-    auto many = compileSegmentsForDevice(segments, dev, opt);
+    const Compiler compiler = CompilerBuilder(dev).options(opt).build();
+    auto one = unwrapOrThrow(compiler.compile(whole));
+    auto many = unwrapOrThrow(compiler.compileSegments(segments));
 
     auto a = sim::runIdealSchedule(one.schedule);
     auto b = sim::runIdealSchedule(many.schedule);
@@ -81,7 +81,9 @@ TEST(SegmentsTest, LayoutThreadsAcrossSegments)
     CompileOptions opt;
     opt.pulse = PulseMethod::Gaussian;
     opt.sched = SchedPolicy::Par;
-    auto prog = compileSegmentsForDevice(segments, dev, opt);
+    auto prog = unwrapOrThrow(
+        CompilerBuilder(dev).options(opt).build().compileSegments(
+            segments));
     // The second segment should need no further SWAPs: the total
     // two-qubit count is 2 gates + the SWAPs of segment 1 only
     // (3 CX per SWAP, 2 SWAPs for distance 3).
@@ -91,9 +93,11 @@ TEST(SegmentsTest, LayoutThreadsAcrossSegments)
 TEST(SegmentsTest, EmptySegmentListRejected)
 {
     auto dev = device23();
-    CompileOptions opt;
-    opt.pulse = PulseMethod::Gaussian;
-    EXPECT_THROW(compileSegmentsForDevice({}, dev, opt), UserError);
+    const CompileResult result = CompilerBuilder(dev)
+                                     .pulseMethod(PulseMethod::Gaussian)
+                                     .build()
+                                     .compileSegments({});
+    EXPECT_EQ(result.status.code, CompileStatusCode::InvalidInput);
 }
 
 TEST(SegmentsTest, RegisterSizeMismatchRejected)
@@ -102,10 +106,12 @@ TEST(SegmentsTest, RegisterSizeMismatchRejected)
     std::vector<ckt::QuantumCircuit> segments;
     segments.emplace_back(6);
     segments.emplace_back(4); // different logical register
-    CompileOptions opt;
-    opt.pulse = PulseMethod::Gaussian;
-    EXPECT_THROW(compileSegmentsForDevice(segments, dev, opt),
-                 UserError);
+    const CompileResult result = CompilerBuilder(dev)
+                                     .pulseMethod(PulseMethod::Gaussian)
+                                     .build()
+                                     .compileSegments(segments);
+    EXPECT_EQ(result.status.code, CompileStatusCode::InvalidInput);
+    EXPECT_EQ(result.status.pass, "route");
 }
 
 TEST(SegmentsTest, SingleSegmentMatchesWholeCompile)
@@ -116,8 +122,9 @@ TEST(SegmentsTest, SingleSegmentMatchesWholeCompile)
     CompileOptions opt;
     opt.pulse = PulseMethod::Gaussian;
     opt.sched = SchedPolicy::Zzx;
-    auto whole = compileForDevice(c, dev, opt);
-    auto segmented = compileSegmentsForDevice({c}, dev, opt);
+    const Compiler compiler = CompilerBuilder(dev).options(opt).build();
+    auto whole = unwrapOrThrow(compiler.compile(c));
+    auto segmented = unwrapOrThrow(compiler.compileSegments({c}));
     ASSERT_EQ(whole.schedule.layers.size(),
               segmented.schedule.layers.size());
     EXPECT_EQ(whole.native.size(), segmented.native.size());
@@ -136,7 +143,9 @@ TEST(SegmentsTest, FinalLayoutExposesThreadedPermutation)
     CompileOptions opt;
     opt.pulse = PulseMethod::Gaussian;
     opt.sched = SchedPolicy::Par;
-    auto prog = compileSegmentsForDevice(segments, dev, opt);
+    auto prog = unwrapOrThrow(
+        CompilerBuilder(dev).options(opt).build().compileSegments(
+            segments));
     // The SWAP walk of segment 1 moved logical qubit 0; the exposed
     // layout is a permutation reflecting it.
     ASSERT_EQ(int(prog.final_layout.size()), 6);
@@ -286,7 +295,8 @@ TEST(ScheduleIoTest, JsonShapeAndContent)
     CompileOptions opt;
     opt.pulse = PulseMethod::Gaussian;
     opt.sched = SchedPolicy::Zzx;
-    auto prog = compileForDevice(c, dev, opt);
+    auto prog = unwrapOrThrow(
+        CompilerBuilder(dev).options(opt).build().compile(c));
 
     std::ostringstream os;
     writeScheduleJson(prog.schedule, *prog.library, os);
@@ -315,7 +325,8 @@ TEST(ScheduleIoTest, SamplesOmittedWhenDisabled)
     c.sx(0);
     CompileOptions opt;
     opt.pulse = PulseMethod::Gaussian;
-    auto prog = compileForDevice(c, dev, opt);
+    auto prog = unwrapOrThrow(
+        CompilerBuilder(dev).options(opt).build().compile(c));
     std::ostringstream os;
     ScheduleIoOptions io;
     io.sample_dt = 0.0;

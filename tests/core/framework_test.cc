@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/compiler.h"
+
 #include "circuit/benchmarks.h"
 #include "common/units.h"
 #include "graph/topologies.h"
@@ -77,7 +79,8 @@ TEST(FrameworkTest, CompiledProgramIsComplete)
     CompileOptions opt;
     opt.pulse = PulseMethod::Gaussian;
     opt.sched = SchedPolicy::Zzx;
-    CompiledProgram prog = compileForDevice(c, dev, opt);
+    CompiledProgram prog = unwrapOrThrow(
+        CompilerBuilder(dev).options(opt).build().compile(c));
 
     EXPECT_TRUE(prog.native.isNative());
     EXPECT_TRUE(ckt::respectsConnectivity(prog.native, dev.graph()));
@@ -97,10 +100,11 @@ TEST(FrameworkTest, BothPoliciesAgreeOnSemantics)
     par.sched = SchedPolicy::Par;
     CompileOptions zzx = par;
     zzx.sched = SchedPolicy::Zzx;
-    auto a = sim::runIdealSchedule(
-        compileForDevice(c, dev, par).schedule);
-    auto b = sim::runIdealSchedule(
-        compileForDevice(c, dev, zzx).schedule);
+    CompileResult ra = CompilerBuilder(dev).options(par).build().compile(c);
+    CompileResult rb = CompilerBuilder(dev).options(zzx).build().compile(c);
+    ASSERT_TRUE(ra.ok() && rb.ok());
+    auto a = sim::runIdealSchedule(ra.program.schedule);
+    auto b = sim::runIdealSchedule(rb.program.schedule);
     EXPECT_NEAR(a.fidelity(b), 1.0, 1e-9);
 }
 
@@ -113,7 +117,8 @@ TEST(FrameworkTest, DcgLibraryStretchesDurations)
     CompileOptions opt;
     opt.pulse = PulseMethod::DCG;
     opt.sched = SchedPolicy::Zzx;
-    CompiledProgram prog = compileForDevice(c, dev, opt);
+    CompiledProgram prog = unwrapOrThrow(
+        CompilerBuilder(dev).options(opt).build().compile(c));
     ASSERT_EQ(prog.schedule.physicalLayerCount(), 1);
     // Layer duration = max(SX 120 ns, supplemented identity 40 ns).
     EXPECT_DOUBLE_EQ(prog.schedule.executionTime(), 120.0);
@@ -125,7 +130,8 @@ TEST(FrameworkTest, EmptyCircuitYieldsEmptySchedule)
     ckt::QuantumCircuit c(6, "empty");
     CompileOptions opt;
     opt.pulse = PulseMethod::Gaussian;
-    CompiledProgram prog = compileForDevice(c, dev, opt);
+    CompiledProgram prog = unwrapOrThrow(
+        CompilerBuilder(dev).options(opt).build().compile(c));
     EXPECT_EQ(prog.schedule.physicalLayerCount(), 0);
     EXPECT_DOUBLE_EQ(prog.schedule.executionTime(), 0.0);
 }
@@ -137,7 +143,8 @@ TEST(FrameworkTest, RoutingHandlesNonAdjacentGates)
     c.cx(0, 5); // distance 3 on the 2x3 grid
     CompileOptions opt;
     opt.pulse = PulseMethod::Gaussian;
-    CompiledProgram prog = compileForDevice(c, dev, opt);
+    CompiledProgram prog = unwrapOrThrow(
+        CompilerBuilder(dev).options(opt).build().compile(c));
     EXPECT_TRUE(ckt::respectsConnectivity(prog.native, dev.graph()));
     EXPECT_GT(prog.native.twoQubitCount(), 1); // SWAPs inserted
 }

@@ -45,7 +45,8 @@ class EndToEndTest : public ::testing::Test
         opt.sched = sched;
         sim::PulseSimOptions sopt;
         sopt.dt = 0.05;
-        return evaluateFidelity(c, dev, opt, sopt);
+        return evaluateFidelity(
+            c, core::CompilerBuilder(dev).options(opt).build(), sopt);
     }
 };
 

@@ -41,7 +41,8 @@ TEST(PipelineTest, NoCrosstalkGivesNearUnitFidelity)
     sim::PulseSimOptions sopt;
     sopt.crosstalk_scale = 0.0;
     sopt.dt = 0.02;
-    FidelityResult res = evaluateFidelity(c, dev, opt, sopt);
+    FidelityResult res = evaluateFidelity(
+        c, core::CompilerBuilder(dev).options(opt).build(), sopt);
     EXPECT_GT(res.fidelity, 1.0 - 1e-4);
 }
 
@@ -53,7 +54,8 @@ TEST(PipelineTest, CrosstalkHurtsBaseline)
     core::CompileOptions opt;
     opt.pulse = core::PulseMethod::Gaussian;
     opt.sched = core::SchedPolicy::Par;
-    FidelityResult res = evaluateFidelity(c, dev, opt);
+    FidelityResult res = evaluateFidelity(
+        c, core::CompilerBuilder(dev).options(opt).build());
     EXPECT_LT(res.fidelity, 0.999);
     EXPECT_GT(res.execution_time, 0.0);
     EXPECT_GT(res.physical_layers, 0);
@@ -71,9 +73,11 @@ TEST(PipelineTest, DecoherenceVariantTracksPureVariant)
     opt.sched = core::SchedPolicy::Par;
     sim::PulseSimOptions sopt;
     sopt.dt = 0.1;
-    FidelityResult pure = evaluateFidelity(c, dev, opt, sopt);
+    const core::Compiler compiler =
+        core::CompilerBuilder(dev).options(opt).build();
+    FidelityResult pure = evaluateFidelity(c, compiler, sopt);
     FidelityResult open =
-        evaluateFidelityWithDecoherence(c, dev, opt, sopt);
+        evaluateFidelityWithDecoherence(c, compiler, sopt);
     EXPECT_NEAR(pure.fidelity, open.fidelity, 1e-6);
 }
 
@@ -89,8 +93,8 @@ TEST(PipelineTest, FiniteCoherenceLowersFidelity)
     sim::PulseSimOptions sopt;
     sopt.dt = 0.1;
     sopt.crosstalk_scale = 0.0;
-    FidelityResult res =
-        evaluateFidelityWithDecoherence(c, dev, opt, sopt);
+    FidelityResult res = evaluateFidelityWithDecoherence(
+        c, core::CompilerBuilder(dev).options(opt).build(), sopt);
     EXPECT_LT(res.fidelity, 0.999);
     EXPECT_GT(res.fidelity, 0.5);
 }

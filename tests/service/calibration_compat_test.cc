@@ -75,11 +75,11 @@ TEST(CalibrationCompatTest, UniformSnapshotCompilesBitIdentical)
                   programArtifactString(rb.program));
     }
 
-    // The legacy throwing shim rides the same pipeline.
-    const core::CompiledProgram legacy =
-        core::compileForDevice(circuit, shim, core::CompileOptions{});
-    const core::CompiledProgram snapped =
-        core::compileForDevice(circuit, snap, core::CompileOptions{});
+    // Default options, through the throwing unwrap.
+    const core::CompiledProgram legacy = core::unwrapOrThrow(
+        core::CompilerBuilder(shim).build().compile(circuit));
+    const core::CompiledProgram snapped = core::unwrapOrThrow(
+        core::CompilerBuilder(snap).build().compile(circuit));
     EXPECT_EQ(programArtifactString(legacy),
               programArtifactString(snapped));
 }
