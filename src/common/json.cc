@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <unordered_set>
+#include <istream>
+#include <vector>
 
 namespace qzz::json {
 
@@ -31,10 +32,10 @@ isDigit(char c)
     return c >= '0' && c <= '9';
 }
 
-/** The integer @p v in [lo, hi]; nullopt when it has a fractional
- *  part or lies outside the range. */
+} // namespace
+
 std::optional<int64_t>
-integral(double v, int64_t lo, int64_t hi)
+asInteger(double v, int64_t lo, int64_t hi)
 {
     // 2^63 is exactly representable, so the half-open test is exact;
     // it runs before the cast, which would be undefined out of range.
@@ -47,37 +48,59 @@ integral(double v, int64_t lo, int64_t hi)
     return i;
 }
 
-/**
- * The one structural walker under parse() and Cursor: token scanning,
- * the open containers (bounded at kMaxDepth) and the first failure.
- * The structural calls skip the whitespace before their token and
- * return false once the walk has failed; the scalar lexers start at
- * the current byte.
- */
-struct Walker
+std::optional<std::string>
+readBounded(std::istream &is, size_t max_bytes)
 {
-    explicit Walker(std::string_view text) : text_(text) {}
+    std::string text;
+    std::streambuf &buf = *is.rdbuf();
+    const auto here = buf.pubseekoff(0, std::ios::cur, std::ios::in);
+    const auto end = here == -1
+                         ? here
+                         : buf.pubseekoff(0, std::ios::end, std::ios::in);
+    if (end != -1 && buf.pubseekpos(here, std::ios::in) == here)
+        text.reserve(std::min(size_t(end - here), max_bytes + 1));
+    char chunk[size_t(64) << 10];
+    while (text.size() <= max_bytes) {
+        is.read(chunk, std::streamsize(std::min(
+                           sizeof chunk, max_bytes + 1 - text.size())));
+        if (is.gcount() == 0)
+            break;
+        text.append(chunk, size_t(is.gcount()));
+    }
+    if (text.size() > max_bytes)
+        return std::nullopt;
+    return text;
+}
+
+// ---------------------------------------------------------------------------
+// Cursor
+// ---------------------------------------------------------------------------
+
+/**
+ * The walker under Cursor: token scanning, the open containers
+ * (bounded at kMaxDepth) and the first failure.  The structural calls
+ * skip the whitespace before their token and return false once the
+ * walk has failed; the scalar lexers start at the current byte.
+ */
+struct Cursor::State
+{
+    explicit State(std::string_view text) : text_(text) {}
 
     bool ok() const { return what_.empty(); }
 
-    std::string
-    error() const
-    {
-        const std::string in =
-            context_.empty() ? "" : " in '" + context_ + "'";
-        return what_ + in + " at byte offset " + std::to_string(at_);
-    }
-
-    /** Records the first failure, at the current position. */
+    /** Records the first failure, at byte @p at. */
     bool
-    fail(std::string what)
+    fail(std::string what, size_t at)
     {
         if (ok()) {
             what_ = std::move(what);
-            at_ = pos_;
+            at_ = at;
         }
         return false;
     }
+
+    /** Records the first failure, at the current position. */
+    bool fail(std::string what) { return fail(std::move(what), pos_); }
 
     char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
 
@@ -90,13 +113,15 @@ struct Walker
         return true;
     }
 
-    /** Skips whitespace; false once the walk has failed. */
+    /** Skips whitespace and marks the next token; false once the walk
+     *  has failed. */
     bool
     next()
     {
         while (consume(' ') || consume('\t') || consume('\n') ||
                consume('\r')) {
         }
+        token_ = pos_;
         return ok();
     }
 
@@ -157,12 +182,13 @@ struct Walker
     {
         if (!item('}'))
             return false;
-        key_at_ = pos_;
         k.clear();
         if (peek() != '"')
             return fail("expected a string key");
+        const size_t at = pos_;
         if (!string(k) || !next())
             return false;
+        token_ = at;
         return consume(':') || fail("expected ':'");
     }
 
@@ -213,10 +239,8 @@ struct Walker
         // to zero: refused rather than silently changed.
         const char *end = text_.data() + pos_;
         const auto r = std::from_chars(text_.data() + start, end, out);
-        if (r.ec != std::errc() || r.ptr != end) {
-            pos_ = start;
-            return fail("number out of range");
-        }
+        if (r.ec != std::errc() || r.ptr != end)
+            return fail("number out of range", start);
         return true;
     }
 
@@ -251,18 +275,15 @@ struct Walker
                 pos_ += size_t(r.ptr - hex);
                 if (r.ptr != hex + 4)
                     return fail("malformed \\u escape");
-                if (code >= 0x80) {
-                    pos_ -= 6;
-                    return fail("non-ASCII \\u escape");
-                }
+                if (code >= 0x80)
+                    return fail("non-ASCII \\u escape", pos_ - 6);
                 out.push_back(char(code));
             } else if (e == '/') {
                 out.push_back(e);
             } else if (const auto *esc = shortEscape(true, e)) {
                 out.push_back(esc->second);
             } else {
-                pos_ -= 2;
-                return fail("unsupported escape");
+                return fail("unsupported escape", pos_ - 2);
             }
         }
     }
@@ -276,149 +297,21 @@ struct Walker
 
     std::string_view text_;
     size_t pos_ = 0;
+    /** Where the last token read began. */
+    size_t token_ = 0;
     std::vector<Frame> frames_;
     std::string what_;
     size_t at_ = 0;
-    /** Where the last member() key began. */
-    size_t key_at_ = 0;
-    /** Key of the innermost member whose value failed. */
-    std::string context_;
 };
 
-/** One value of any kind into @p out, recursively. */
-bool
-readValue(Walker &w, Value &out)
+Cursor::Cursor(std::string_view text, size_t max_bytes)
+    : state_(std::make_unique<State>(text))
 {
-    if (!w.next())
-        return false;
-    const char c = w.peek();
-    if (c == '{') {
-        Object members;
-        // Duplicate check: a linear scan while the object is narrow,
-        // a hash index past that, so wide objects stay linear-time.
-        constexpr size_t kLinearScan = 16;
-        std::unordered_set<std::string> index;
-        std::string key;
-        if (!w.open('{'))
-            return false;
-        while (w.member(key)) {
-            bool duplicate = false;
-            if (members.size() < kLinearScan) {
-                for (const auto &member : members)
-                    duplicate = duplicate || member.first == key;
-            } else {
-                if (index.empty())
-                    for (const auto &member : members)
-                        index.insert(member.first);
-                duplicate = !index.insert(key).second;
-            }
-            if (duplicate) {
-                w.pos_ = w.key_at_;
-                return w.fail("duplicate key '" + key + "'");
-            }
-            Value v;
-            if (!readValue(w, v)) {
-                if (w.context_.empty())
-                    w.context_ = key;
-                return false;
-            }
-            members.emplace_back(std::move(key), std::move(v));
-        }
-        out = Value(std::move(members));
-        return w.ok();
+    if (text.size() > max_bytes) {
+        state_->pos_ = max_bytes;
+        state_->fail("document longer than " + std::to_string(max_bytes) +
+                     " bytes");
     }
-    if (c == '[') {
-        Array items;
-        if (!w.open('['))
-            return false;
-        while (w.item(']'))
-            if (!readValue(w, items.emplace_back()))
-                return false;
-        out = Value(std::move(items));
-        return w.ok();
-    }
-    if (c == '"') {
-        std::string s;
-        if (!w.string(s))
-            return false;
-        out = Value(std::move(s));
-        return true;
-    }
-    if (c == 't' || c == 'f' || c == 'n') {
-        const std::string_view word = c == 't'   ? "true"
-                                      : c == 'f' ? "false"
-                                                 : "null";
-        if (!w.literal(word))
-            return false;
-        out = c == 'n' ? Value() : Value(c == 't');
-        return true;
-    }
-    double v = 0.0;
-    if (!w.number(v))
-        return false;
-    out = Value(v);
-    return true;
-}
-
-} // namespace
-
-const Value *
-Value::find(std::string_view key) const
-{
-    if (const Object *members = asObject())
-        for (const auto &member : *members)
-            if (member.first == key)
-                return &member.second;
-    return nullptr;
-}
-
-std::optional<int64_t>
-Value::asInt(int64_t lo, int64_t hi) const
-{
-    const double *v = asNumber();
-    return v != nullptr ? integral(*v, lo, hi) : std::nullopt;
-}
-
-std::optional<double>
-Value::asDouble() const
-{
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    if (const double *v = asNumber())
-        return *v;
-    const std::string *s = asString();
-    if (s != nullptr && (*s == "inf" || *s == "-inf"))
-        return *s == "inf" ? kInf : -kInf;
-    return std::nullopt;
-}
-
-std::optional<Value>
-parse(std::string_view text, std::string *error)
-{
-    Walker w(text);
-    Value out;
-    if (text.size() > kMaxDocumentBytes) {
-        w.pos_ = kMaxDocumentBytes;
-        w.fail("document longer than " + std::to_string(kMaxDocumentBytes) +
-               " bytes");
-    } else if (readValue(w, out) && w.end()) {
-        return out;
-    }
-    if (error != nullptr)
-        *error = w.error();
-    return std::nullopt;
-}
-
-// ---------------------------------------------------------------------------
-// Cursor
-// ---------------------------------------------------------------------------
-
-struct Cursor::State : Walker
-{
-    using Walker::Walker;
-};
-
-Cursor::Cursor(std::string_view text) : state_(std::make_unique<State>(text))
-{
 }
 
 Cursor::~Cursor() = default;
@@ -426,14 +319,31 @@ Cursor::~Cursor() = default;
 bool Cursor::ok() const { return state_->ok(); }
 bool Cursor::beginObject() { return state_->open('{'); }
 bool Cursor::endObject() { return state_->close('}'); }
+bool Cursor::member(std::string &k) { return state_->member(k); }
 bool Cursor::beginArray() { return state_->open('['); }
 bool Cursor::more() { return state_->item(']'); }
 bool Cursor::end() { return state_->end(); }
 
 bool
+Cursor::fail(std::string what)
+{
+    return state_->fail(std::move(what), state_->token_);
+}
+
+std::string
+Cursor::error(std::string_view member) const
+{
+    const State &w = *state_;
+    std::string out = w.what_;
+    if (!member.empty())
+        out.append(" in '").append(member).append("'");
+    return out + " at byte offset " + std::to_string(w.at_);
+}
+
+bool
 Cursor::tryKey(std::string_view k)
 {
-    Walker &w = *state_;
+    State &w = *state_;
     if (!w.next() || w.peek() == '}' || w.frames_.empty())
         return false;
     const size_t at = w.pos_;
@@ -452,10 +362,38 @@ Cursor::key(std::string_view k)
     return tryKey(k) || state_->fail("expected key '" + std::string(k) + "'");
 }
 
+Cursor::Kind
+Cursor::peek()
+{
+    State &w = *state_;
+    w.next();
+    switch (w.peek()) {
+    case 'n':
+        return Kind::Null;
+    case 't':
+    case 'f':
+        return Kind::Bool;
+    case '"':
+        return Kind::String;
+    case '[':
+        return Kind::Array;
+    case '{':
+        return Kind::Object;
+    default:
+        return Kind::Number;
+    }
+}
+
+bool
+Cursor::null()
+{
+    return state_->next() && state_->literal("null");
+}
+
 bool
 Cursor::boolean(bool &out)
 {
-    Walker &w = *state_;
+    State &w = *state_;
     out = w.next() && w.peek() == 't';
     return w.ok() && w.literal(out ? "true" : "false");
 }
@@ -466,30 +404,33 @@ Cursor::integer(int64_t &out, int64_t lo, int64_t hi)
     double v = 0.0;
     if (!state_->next() || !state_->number(v))
         return false;
-    const auto i = integral(v, lo, hi);
+    const auto i = asInteger(v, lo, hi);
     out = i.value_or(0);
-    return i.has_value() || state_->fail("integer out of range");
+    return i.has_value() || fail("integer out of range");
 }
 
 bool
 Cursor::real(double &out)
 {
-    Walker &w = *state_;
+    State &w = *state_;
     if (!w.next())
         return false;
     if (w.peek() != '"')
         return w.number(out);
+    constexpr double kInf = std::numeric_limits<double>::infinity();
     std::string text;
-    const auto v =
-        w.string(text) ? Value(std::move(text)).asDouble() : std::nullopt;
-    out = v.value_or(0.0);
-    return v.has_value() || w.fail("expected a number");
+    if (!w.string(text))
+        return false;
+    if (text != "inf" && text != "-inf")
+        return fail("expected a number");
+    out = text == "inf" ? kInf : -kInf;
+    return true;
 }
 
 bool
 Cursor::string(std::string &out)
 {
-    Walker &w = *state_;
+    State &w = *state_;
     out.clear();
     if (!w.next())
         return false;
@@ -618,26 +559,6 @@ Writer::value(std::string_view v)
     appendEscaped(out_, v);
     out_ += '"';
     return *this;
-}
-
-Writer &
-Writer::value(const Value &v)
-{
-    if (const Array *items = v.asArray())
-        return array(*items);
-    if (const Object *members = v.asObject()) {
-        beginObject();
-        for (const auto &[k, member] : *members)
-            field(k, member);
-        return endObject();
-    }
-    if (const bool *b = v.asBool())
-        return value(*b);
-    if (const double *d = v.asNumber())
-        return value(*d);
-    if (const std::string *s = v.asString())
-        return value(std::string_view(*s));
-    return null();
 }
 
 } // namespace qzz::json

@@ -1,27 +1,25 @@
 /**
  * @file
- * The one JSON codec: a strict reader into json::Value and a writer
- * that appends to a std::string.
+ * The one JSON codec: a strict pull reader (Cursor) and a writer that
+ * appends to a std::string.
  *
- * Reader.  parse() accepts exactly RFC 8259 JSON and rejects, with the
- * byte offset in the message: duplicate object keys, trailing content,
- * raw control characters inside strings, \u escapes outside ASCII,
- * numbers that round to infinity or to zero from a nonzero literal,
- * nesting deeper than kMaxDepth and documents longer than
- * kMaxDocumentBytes.
- * Numbers are read with std::from_chars, so every double the writer
- * emits reads back bit-exactly.  Raw UTF-8 passes through strings
- * unchanged.
+ * Reader.  Cursor walks one document token by token under exactly the
+ * RFC 8259 grammar without building a tree, and rejects, with the byte
+ * offset in the message: trailing content, raw control characters
+ * inside strings, \u escapes outside ASCII, numbers that round to
+ * infinity or to zero from a nonzero literal, nesting deeper than
+ * kMaxDepth and, given a bound, longer documents.  Its callers read a
+ * fixed schema member by member (the program artifact) or a flat list
+ * of members (request lines, calibration documents) and reject
+ * duplicate keys themselves.  Numbers are read with std::from_chars,
+ * so every double the writer emits reads back bit-exactly.  Raw UTF-8
+ * passes through strings unchanged.
  *
  * Writer.  Numbers are written with std::to_chars in the shortest
  * form that round-trips; ±inf (which JSON numbers cannot carry) are
- * written as the strings "inf" / "-inf", and Value::asDouble() reads
+ * written as the strings "inf" / "-inf", and Cursor::real() reads
  * those back.  Output is compact unless the writer is built pretty
  * (newlines and two-space indentation).
- *
- * Cursor.  A pull reader for fixed schemas read in member order
- * without building a tree.  parse() is built on the same walker, so
- * the two share one grammar and one depth bound.
  */
 
 #ifndef QZZ_COMMON_JSON_H
@@ -30,95 +28,58 @@
 #include <charconv>
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <type_traits>
-#include <utility>
-#include <variant>
-#include <vector>
 
 namespace qzz::json {
 
-/** parse() rejects longer documents before reading them. */
+/** The request and calibration readers reject longer documents
+ *  before reading them. */
 inline constexpr size_t kMaxDocumentBytes = size_t(4) << 20;
 /** Arrays and objects nest at most this deep. */
 inline constexpr int kMaxDepth = 64;
 
-class Value;
-using Array = std::vector<Value>;
-/** Object members in document order (keys are unique). */
-using Object = std::vector<std::pair<std::string, Value>>;
-
-/** One parsed JSON value: null, bool, number, string, array or object. */
-class Value
-{
-  public:
-    Value() = default;
-    Value(bool v) : v_(v) {}
-    Value(double v) : v_(v) {}
-    Value(std::string v) : v_(std::move(v)) {}
-    Value(Array v) : v_(std::move(v)) {}
-    Value(Object v) : v_(std::move(v)) {}
-
-    /** Typed views; null when the value has another type. */
-    const bool *asBool() const { return std::get_if<bool>(&v_); }
-    const double *asNumber() const { return std::get_if<double>(&v_); }
-    const std::string *asString() const
-    {
-        return std::get_if<std::string>(&v_);
-    }
-    const Array *asArray() const { return std::get_if<Array>(&v_); }
-    const Object *asObject() const { return std::get_if<Object>(&v_); }
-
-    /** Object member lookup; null when not an object or absent. */
-    const Value *find(std::string_view key) const;
-
-    /**
-     * The number as an integer in [lo, hi]; nullopt when this is not
-     * a number, has a fractional part or lies outside the range.  The
-     * range check precedes the conversion, so no input reaches an
-     * out-of-range double-to-integer cast.
-     */
-    std::optional<int64_t>
-    asInt(int64_t lo = std::numeric_limits<int64_t>::min(),
-          int64_t hi = std::numeric_limits<int64_t>::max()) const;
-
-    /** A number, or one of the strings "inf" / "-inf" the writer
-     *  emits for infinities. */
-    std::optional<double> asDouble() const;
-
-    bool operator==(const Value &) const = default;
-
-  private:
-    std::variant<std::nullptr_t, bool, double, std::string, Array, Object>
-        v_;
-};
+/**
+ * The number @p v as an integer in [lo, hi]; nullopt when it has a
+ * fractional part or lies outside the range.  The range check
+ * precedes the conversion, so no input reaches an out-of-range
+ * double-to-integer cast.
+ */
+std::optional<int64_t>
+asInteger(double v, int64_t lo = std::numeric_limits<int64_t>::min(),
+          int64_t hi = std::numeric_limits<int64_t>::max());
 
 /**
- * Parse one document.  On failure returns nullopt and, when @p error
- * is non-null, stores "<what> at byte offset <n>" (with the innermost
- * object key in the message when the failure is inside a member).
+ * The rest of @p is; nullopt past @p max_bytes, reading at most one
+ * byte beyond it.  A stream that can seek (a file) tells its size
+ * first, so the buffer is allocated once, exactly.  The caller checks
+ * the stream for IO errors.
  */
-std::optional<Value> parse(std::string_view text,
-                           std::string *error = nullptr);
+std::optional<std::string> readBounded(std::istream &is, size_t max_bytes);
 
 /**
  * Pull reader: walks one document token by token in the order the
- * caller expects, without building a tree, under parse()'s grammar
- * and depth bound.  For fixed schemas whose documents are too large
- * to hold as a Value tree (the program artifact); the caller bounds
- * the document's size.  Each call consumes one token with the
- * separator before it and returns false when the next token is not
- * the one asked for; the cursor then stays failed, except after the
- * clean "no" of tryKey() and more().
+ * caller expects, without building a tree.  Each call consumes one
+ * token with the separator before it and returns false when the next
+ * token is not the one asked for; the cursor then stays failed,
+ * except after the clean "no" of tryKey() and more().  error()
+ * positions the first failure.
  */
 class Cursor
 {
   public:
-    explicit Cursor(std::string_view text);
+    /** What the next value is, by its first byte. */
+    enum class Kind { Null, Bool, Number, String, Array, Object };
+
+    /** Past @p max_bytes the cursor starts failed ("document longer
+     *  than"), without reading. */
+    explicit Cursor(std::string_view text,
+                    size_t max_bytes = std::string_view::npos);
     ~Cursor();
 
     bool beginObject();
@@ -128,16 +89,24 @@ class Cursor
     bool tryKey(std::string_view k);
     /** tryKey(), failing the cursor when the next key is another. */
     bool key(std::string_view k);
+    /** The next member's key, whatever it is, into @p k with its ':';
+     *  false at the closing '}', which it consumes, or on failure. */
+    bool member(std::string &k);
     bool endObject();
     bool beginArray();
     /** True when another element follows (its ',' consumed); false at
      *  the closing ']', which it consumes, or on failure (see ok()). */
     bool more();
 
+    /** The kind of the next value; consumes nothing.  A byte that
+     *  starts no value reads as Number, whose read then fails. */
+    Kind peek();
+    bool null();
     bool boolean(bool &out);
-    /** A number that is an integer in [lo, hi] (see Value::asInt()). */
+    /** A number that is an integer in [lo, hi] (see asInteger()). */
     bool integer(int64_t &out, int64_t lo, int64_t hi);
-    /** A number, or "inf" / "-inf" (see Value::asDouble()). */
+    /** A number, or one of the strings "inf" / "-inf" the writer
+     *  emits for infinities. */
     bool real(double &out);
     bool string(std::string &out);
     /** Only whitespace is left. */
@@ -145,6 +114,13 @@ class Cursor
 
     /** No call has failed. */
     bool ok() const;
+    /** Fails the cursor with @p what at the start of the last token
+     *  read or peeked (a key, a value or a closing bracket); returns
+     *  false. */
+    bool fail(std::string what);
+    /** "<what> at byte offset <n>" of the first failure, with
+     *  " in '<member>'" before the offset when @p member is given. */
+    std::string error(std::string_view member = {}) const;
 
   private:
     struct State;
@@ -191,8 +167,6 @@ class Writer
         char buf[24];
         return token({buf, std::to_chars(buf, buf + sizeof buf, v).ptr});
     }
-    /** A whole parsed tree. */
-    Writer &value(const Value &v);
 
     /** key(k) then value(v). */
     template <typename T>

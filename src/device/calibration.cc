@@ -7,7 +7,6 @@
 #include <limits>
 #include <ostream>
 #include <random>
-#include <sstream>
 #include <thread>
 
 #include "common/error.h"
@@ -237,9 +236,8 @@ Calibration::meanZz() const
 namespace {
 
 /** Every key of the calibration document, in writer order.  Each is
- *  mandatory and unique (the codec rejects duplicates): a truncated
- *  file or a spliced one fails the parse instead of yielding a
- *  partial snapshot. */
+ *  mandatory and unique: a truncated file or a spliced one fails the
+ *  read instead of yielding a partial snapshot. */
 constexpr const char *kCalibKeys[] = {
     "qzzcalib", "id",     "epoch",         "num_qubits",
     "coupling_mean",      "coupling_stddev",
@@ -249,67 +247,68 @@ constexpr const char *kCalibKeys[] = {
 constexpr size_t kNumCalibKeys =
     sizeof(kCalibKeys) / sizeof(kCalibKeys[0]);
 
-/** Decode an array element by element with @p read (an optional
- *  per element); false when it is no array or an element is bad. */
+/** An array read element by element with @p read; false when it is
+ *  no array or an element is bad. */
 template <typename T, typename Read>
 bool
-readArray(const json::Value &v, std::vector<T> &out, Read read)
+readArray(json::Cursor &in, std::vector<T> &out, Read read)
 {
-    const json::Array *items = v.asArray();
-    if (items == nullptr)
-        return false;
     out.clear();
-    for (const json::Value &item : *items) {
-        const auto x = read(item);
-        if (!x)
+    if (!in.beginArray())
+        return false;
+    while (in.more())
+        if (!read(out.emplace_back()))
             return false;
-        out.push_back(T(*x));
-    }
-    return true;
+    return in.ok();
 }
 
-/** Decode one member into @p c; false when its value is malformed. */
+/** Reads the value of member @p key into @p c; false, with the cursor
+ *  failed, when the value is malformed. */
 bool
-readMember(const std::string &key, const json::Value &v, Calibration &c)
+readMember(json::Cursor &in, std::string_view key, Calibration &c)
 {
-    if (key == "id") {
-        const std::string *s = v.asString();
-        if (s != nullptr)
-            c.id = *s;
-        return s != nullptr;
-    }
+    int64_t n = 0;
+    if (key == "qzzcalib")
+        return in.integer(n, std::numeric_limits<int64_t>::min(),
+                          std::numeric_limits<int64_t>::max()) &&
+               (n == kCalibrationVersion ||
+                in.fail("unsupported calibration version " +
+                        std::to_string(n)));
+    if (key == "id")
+        return in.string(c.id);
     if (key == "epoch") {
-        const auto epoch = v.asInt(0);
-        c.epoch = uint64_t(epoch.value_or(0));
-        return epoch.has_value();
+        const bool ok =
+            in.integer(n, 0, std::numeric_limits<int64_t>::max());
+        c.epoch = uint64_t(n);
+        return ok;
     }
     if (key == "num_qubits") {
-        const auto n = v.asInt(0, int64_t(1) << 20);
-        c.num_qubits = int(n.value_or(0));
-        return n.has_value();
+        const bool ok = in.integer(n, 0, int64_t(1) << 20);
+        c.num_qubits = int(n);
+        return ok;
     }
-    if (key == "coupling_mean" || key == "coupling_stddev") {
-        const auto d = v.asDouble();
-        if (d)
-            (key == "coupling_mean" ? c.coupling_mean
-                                    : c.coupling_stddev) = *d;
-        return d.has_value();
-    }
-    const auto index = [](const json::Value &x) {
-        return x.asInt(0, std::numeric_limits<int>::max());
+    if (key == "coupling_mean")
+        return in.real(c.coupling_mean);
+    if (key == "coupling_stddev")
+        return in.real(c.coupling_stddev);
+    const auto index = [&in](int &x) {
+        int64_t v = 0;
+        const bool ok = in.integer(v, 0, std::numeric_limits<int>::max());
+        x = int(v);
+        return ok;
     };
-    const auto real = [](const json::Value &x) { return x.asDouble(); };
+    const auto real = [&in](double &x) { return in.real(x); };
     if (key == "edge_u")
-        return readArray(v, c.edge_u, index);
+        return readArray(in, c.edge_u, index);
     if (key == "edge_v")
-        return readArray(v, c.edge_v, index);
+        return readArray(in, c.edge_v, index);
     if (key == "t1")
-        return readArray(v, c.t1, real);
+        return readArray(in, c.t1, real);
     if (key == "t2")
-        return readArray(v, c.t2, real);
+        return readArray(in, c.t2, real);
     if (key == "anharmonicity")
-        return readArray(v, c.anharmonicity, real);
-    return readArray(v, c.zz, real);
+        return readArray(in, c.anharmonicity, real);
+    return readArray(in, c.zz, real);
 }
 
 } // namespace
@@ -346,54 +345,47 @@ writeCalibrationJson(const Calibration &calib, std::ostream &os)
 std::optional<Calibration>
 readCalibrationJson(std::string_view text, std::string *error)
 {
-    const auto fail = [error](std::string why) -> std::optional<Calibration> {
-        if (error)
-            *error = std::move(why);
-        return std::nullopt;
-    };
-    std::string why;
-    const std::optional<json::Value> doc = json::parse(text, &why);
-    if (!doc)
-        return fail(std::move(why));
-    const json::Object *members = doc->asObject();
-    if (members == nullptr)
-        return fail("expected an object");
-
+    json::Cursor in(text, json::kMaxDocumentBytes);
     Calibration c;
     bool seen[kNumCalibKeys] = {};
-    for (const auto &[key, value] : *members) {
+    std::string key;
+    // The member whose value failed to read, named in the error.
+    std::string bad;
+    // Members in any order.  After a failure member() is false and
+    // the checks below are skipped.
+    in.beginObject();
+    while (in.member(key)) {
         size_t idx = 0;
         while (idx < kNumCalibKeys && key != kCalibKeys[idx])
             ++idx;
-        if (idx == kNumCalibKeys)
-            return fail("unknown key '" + key + "'");
-        seen[idx] = true;
-        if (key == "qzzcalib") {
-            const auto version = value.asInt();
-            if (!version)
-                return fail("bad value for 'qzzcalib'");
-            if (*version != kCalibrationVersion)
-                return fail("unsupported calibration version " +
-                            std::to_string(*version));
-        } else if (!readMember(key, value, c)) {
-            return fail("bad value for '" + key + "'");
+        if (idx == kNumCalibKeys) {
+            in.fail("unknown key '" + key + "'");
+        } else if (seen[idx]) {
+            in.fail("duplicate key '" + key + "'");
+        } else {
+            seen[idx] = true;
+            if (!readMember(in, key, c))
+                bad = key;
         }
     }
-    for (size_t i = 0; i < kNumCalibKeys; ++i) {
-        if (!seen[i]) {
-            // The object closes at the last non-blank byte.
-            return fail("missing key '" + std::string(kCalibKeys[i]) +
-                        "' at byte offset " +
-                        std::to_string(text.find_last_not_of(" \t\r\n")));
+    // The checks of the whole document are positioned at its closing
+    // brace, the last token read.
+    for (size_t i = 0; i < kNumCalibKeys && in.ok(); ++i)
+        if (!seen[i])
+            in.fail("missing key '" + std::string(kCalibKeys[i]) + "'");
+    if (in.ok()) {
+        try {
+            c.validate();
+        } catch (const std::exception &e) {
+            in.fail(e.what());
         }
     }
-
-    try {
-        c.validate();
-    } catch (const std::exception &e) {
-        return fail(e.what());
-    }
-    return c;
+    if (in.end())
+        return c;
+    if (error)
+        *error = bad.empty() ? in.error()
+                             : "bad value for '" + bad + "': " + in.error();
+    return std::nullopt;
 }
 
 bool
@@ -437,22 +429,23 @@ saveCalibrationFile(const Calibration &calib, const std::string &path)
 std::optional<Calibration>
 loadCalibrationFile(const std::string &path, std::string *error)
 {
+    const auto fail = [error](std::string why) -> std::optional<Calibration> {
+        if (error)
+            *error = std::move(why);
+        return std::nullopt;
+    };
     std::ifstream in(path);
-    if (!in) {
-        if (error)
-            *error = "cannot open '" + path + "'";
-        return std::nullopt;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    if (in.bad()) {
-        // An IO error mid-read would otherwise look like truncation;
-        // report it as what it is.
-        if (error)
-            *error = "read error on '" + path + "'";
-        return std::nullopt;
-    }
-    return readCalibrationJson(ss.str(), error);
+    if (!in)
+        return fail("cannot open '" + path + "'");
+    const auto text = json::readBounded(in, json::kMaxDocumentBytes);
+    // An IO error mid-read would otherwise look like truncation;
+    // report it as what it is.
+    if (in.bad())
+        return fail("read error on '" + path + "'");
+    if (!text)
+        return fail("'" + path + "' is longer than " +
+                    std::to_string(json::kMaxDocumentBytes) + " bytes");
+    return readCalibrationJson(*text, error);
 }
 
 } // namespace qzz::dev

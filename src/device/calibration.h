@@ -170,9 +170,11 @@ void writeCalibrationJson(const Calibration &calib, std::ostream &os);
 /** writeCalibrationJson() into a string. */
 std::string calibrationJsonString(const Calibration &calib);
 
-/** Parse a calibration document.  Returns nullopt (with a message in
- *  @p error when non-null) on malformed or version-mismatched input;
- *  the returned snapshot has been validate()d. */
+/** Parse a calibration document: one object holding each of its
+ *  twelve keys once, in any order.  Returns nullopt (with a message
+ *  ending in the byte offset in @p error when non-null) on malformed,
+ *  incomplete, inconsistent or version-mismatched input; the returned
+ *  snapshot has been validate()d. */
 std::optional<Calibration>
 readCalibrationJson(std::string_view text, std::string *error = nullptr);
 
@@ -181,7 +183,9 @@ readCalibrationJson(std::string_view text, std::string *error = nullptr);
 bool saveCalibrationFile(const Calibration &calib,
                          const std::string &path);
 
-/** Load a snapshot previously saved with saveCalibrationFile(). */
+/** Load a snapshot previously saved with saveCalibrationFile().  A
+ *  file longer than json::kMaxDocumentBytes is refused after reading
+ *  one byte past the bound. */
 std::optional<Calibration>
 loadCalibrationFile(const std::string &path, std::string *error = nullptr);
 

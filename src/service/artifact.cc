@@ -1,6 +1,5 @@
 #include "service/artifact.h"
 
-#include <algorithm>
 #include <istream>
 #include <limits>
 #include <vector>
@@ -127,33 +126,6 @@ readHeader(json::Cursor &c, core::CompiledProgram &program)
     program.sched_policy = *p;
     program.calib_epoch = uint64_t(epoch);
     return true;
-}
-
-/** The rest of @p is; nullopt past kMaxArtifactBytes, reading at
- *  most one byte beyond it.  A stream that can seek (a file) tells
- *  its size first, so the buffer is allocated once, exactly. */
-std::optional<std::string>
-readBounded(std::istream &is)
-{
-    std::string text;
-    std::streambuf &buf = *is.rdbuf();
-    const auto here = buf.pubseekoff(0, std::ios::cur, std::ios::in);
-    const auto end = here == -1
-                         ? here
-                         : buf.pubseekoff(0, std::ios::end, std::ios::in);
-    if (end != -1 && buf.pubseekpos(here, std::ios::in) == here)
-        text.reserve(std::min(size_t(end - here), kMaxArtifactBytes + 1));
-    char chunk[size_t(64) << 10];
-    while (text.size() <= kMaxArtifactBytes) {
-        is.read(chunk, std::streamsize(std::min(
-                           sizeof chunk, kMaxArtifactBytes + 1 - text.size())));
-        if (is.gcount() == 0)
-            break;
-        text.append(chunk, size_t(is.gcount()));
-    }
-    if (text.size() > kMaxArtifactBytes)
-        return std::nullopt;
-    return text;
 }
 
 /** The program of one artifact document, read member by member in
@@ -290,7 +262,7 @@ readArtifactCalibEpoch(std::istream &is)
 std::optional<core::CompiledProgram>
 readProgramArtifact(std::istream &is, bool attach_library)
 {
-    const auto text = readBounded(is);
+    const auto text = json::readBounded(is, kMaxArtifactBytes);
     auto program = text ? decodeProgram(*text) : std::nullopt;
     if (program && attach_library)
         program->library = core::getPulseLibraryShared(program->pulse_method);

@@ -1,60 +1,86 @@
 #include "service/jsonl.h"
 
+#include <unordered_set>
+
 namespace qzz::svc {
 
 std::optional<JsonObject>
 JsonObject::parse(std::string_view line, std::string *error)
 {
-    const auto fail = [error](std::string why) -> std::optional<JsonObject> {
-        if (error != nullptr)
-            *error = std::move(why);
-        return std::nullopt;
-    };
-    std::string why;
-    std::optional<json::Value> doc = json::parse(line, &why);
-    if (!doc)
-        return fail(std::move(why));
-    const json::Object *members = doc->asObject();
-    if (members == nullptr)
-        return fail("expected an object");
-    for (const auto &[key, value] : *members)
-        if (value.asArray() != nullptr || value.asObject() != nullptr)
-            return fail("nested values are not part of the protocol (key '" +
-                        key + "')");
+    using Kind = json::Cursor::Kind;
+    json::Cursor c(line, json::kMaxDocumentBytes);
     JsonObject obj;
-    obj.doc_ = std::move(*doc);
-    return obj;
+    // Duplicate check: a linear scan while the line is narrow, a hash
+    // index past that, so wide lines stay linear-time.
+    constexpr size_t kLinearScan = 16;
+    std::unordered_set<std::string> index;
+    std::string key;
+    // The member whose value failed to read, named in the error.
+    std::string in;
+    const auto scalar = [&c](Kind kind, Scalar &v) {
+        bool b = false;
+        double d = 0.0;
+        switch (kind) {
+        case Kind::Null:
+            return c.null();
+        case Kind::Bool:
+            if (!c.boolean(b))
+                return false;
+            v = b;
+            return true;
+        case Kind::String:
+            return c.string(v.emplace<std::string>());
+        default:
+            if (!c.real(d))
+                return false;
+            v = d;
+            return true;
+        }
+    };
+    // After a failure member() is false and end() reports it.
+    c.beginObject();
+    while (c.member(key)) {
+        bool duplicate = false;
+        if (obj.members_.size() < kLinearScan) {
+            for (const auto &member : obj.members_)
+                duplicate = duplicate || member.first == key;
+        } else {
+            if (index.empty())
+                for (const auto &member : obj.members_)
+                    index.insert(member.first);
+            duplicate = !index.insert(key).second;
+        }
+        if (duplicate) {
+            c.fail("duplicate key '" + key + "'");
+            break;
+        }
+        const Kind kind = c.peek();
+        if (kind == Kind::Array || kind == Kind::Object) {
+            c.fail("nested values are not part of the protocol (key '" + key +
+                   "')");
+            break;
+        }
+        Scalar v;
+        if (!scalar(kind, v)) {
+            in = key;
+            break;
+        }
+        obj.members_.emplace_back(std::move(key), std::move(v));
+    }
+    if (c.end())
+        return obj;
+    if (error != nullptr)
+        *error = c.error(in);
+    return std::nullopt;
 }
 
-std::optional<std::string>
-JsonObject::getString(std::string_view key) const
+const JsonObject::Scalar *
+JsonObject::find(std::string_view key) const
 {
-    const json::Value *v = doc_.find(key);
-    const std::string *s = v ? v->asString() : nullptr;
-    return s ? std::optional<std::string>(*s) : std::nullopt;
-}
-
-std::optional<double>
-JsonObject::getNumber(std::string_view key) const
-{
-    const json::Value *v = doc_.find(key);
-    const double *n = v ? v->asNumber() : nullptr;
-    return n ? std::optional<double>(*n) : std::nullopt;
-}
-
-std::optional<bool>
-JsonObject::getBool(std::string_view key) const
-{
-    const json::Value *v = doc_.find(key);
-    const bool *b = v ? v->asBool() : nullptr;
-    return b ? std::optional<bool>(*b) : std::nullopt;
-}
-
-std::optional<int64_t>
-JsonObject::getInt(std::string_view key) const
-{
-    const json::Value *v = doc_.find(key);
-    return v ? v->asInt() : std::nullopt;
+    for (const auto &member : members_)
+        if (member.first == key)
+            return &member.second;
+    return nullptr;
 }
 
 } // namespace qzz::svc

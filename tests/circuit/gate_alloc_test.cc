@@ -3,93 +3,20 @@
  * Allocation audit for the gate path.  Gate operands live inline and
  * QuantumCircuit::add builds its error messages only on failure, so
  * copying a gate and appending to a reserved circuit must not touch
- * the heap.  This binary replaces the global operator new with a
- * counting one (as bench/bench_sim_speed.cc does), which is why it is
- * a test executable of its own.
+ * the heap (counted with common/counting_new.h).
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include "circuit/circuit.h"
-
-namespace {
-std::atomic<uint64_t> g_alloc_count{0};
-std::atomic<bool> g_count_allocs{false};
-
-void *
-countedAlloc(std::size_t sz)
-{
-    if (g_count_allocs.load(std::memory_order_relaxed))
-        g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-    void *p = std::malloc(sz ? sz : 1);
-    if (!p)
-        throw std::bad_alloc();
-    return p;
-}
-
-/** Counts operator new calls between construction and count(). */
-class AllocCounter
-{
-  public:
-    AllocCounter()
-    {
-        g_alloc_count.store(0, std::memory_order_relaxed);
-        g_count_allocs.store(true, std::memory_order_relaxed);
-    }
-    ~AllocCounter() { g_count_allocs.store(false); }
-
-    uint64_t
-    count() const
-    {
-        g_count_allocs.store(false, std::memory_order_relaxed);
-        return g_alloc_count.load(std::memory_order_relaxed);
-    }
-};
-} // namespace
-
-void *
-operator new(std::size_t sz)
-{
-    return countedAlloc(sz);
-}
-
-void *
-operator new[](std::size_t sz)
-{
-    return countedAlloc(sz);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
+#include "common/counting_new.h"
 
 namespace qzz::ckt {
 namespace {
+
+using test::AllocCounter;
 
 TEST(GateAllocTest, CopyingAGateDoesNotAllocate)
 {

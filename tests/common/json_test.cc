@@ -1,9 +1,12 @@
 /**
  * @file
- * JSON codec tests: decode(encode(v)) == v with bit-exact doubles,
- * the depth and size bounds, positioned errors for every rejected
- * construct, the writer's exact layout, and a seeded mutation loop
- * over the documents the service reads (request lines, calibration
+ * JSON codec tests, through the readers the service runs: json::Cursor,
+ * the request-line reader (svc::JsonObject) and the calibration reader.
+ * A small Cursor -> Writer echo stands in for a generic reader of any
+ * document.  Covered: decode of encode is the identity with bit-exact
+ * doubles, the depth and size bounds, positioned errors for every
+ * rejected construct, the writer's exact layout, and a seeded mutation
+ * loop over the documents the service reads (request lines, calibration
  * snapshots, manifest lines).
  */
 
@@ -14,23 +17,21 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <random>
 #include <string>
+#include <vector>
 
 #include "common/json.h"
+#include "device/calibration.h"
+#include "service/jsonl.h"
 
 namespace qzz::json {
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
+using svc::JsonObject;
 
-std::string
-encode(const Value &v, bool pretty = false)
-{
-    std::string out;
-    Writer(out, pretty).value(v);
-    return out;
-}
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 std::string
 encode(double v)
@@ -40,14 +41,138 @@ encode(double v)
     return out;
 }
 
-/** The error parse() reports for @p text ("" when it parses). */
+/**
+ * Copies the value under @p c to @p w.  When a member's value fails,
+ * @p in names the innermost such member (it stays "" otherwise).
+ */
+bool
+echoValue(Cursor &c, Writer &w, std::string &in)
+{
+    bool b = false;
+    double d = 0.0;
+    std::string s;
+    switch (c.peek()) {
+    case Cursor::Kind::Object:
+        if (!c.beginObject())
+            return false;
+        w.beginObject();
+        while (c.member(s)) {
+            w.key(s);
+            if (!echoValue(c, w, in)) {
+                if (in.empty())
+                    in = s;
+                return false;
+            }
+        }
+        w.endObject();
+        return c.ok();
+    case Cursor::Kind::Array:
+        if (!c.beginArray())
+            return false;
+        w.beginArray();
+        while (c.more())
+            if (!echoValue(c, w, in))
+                return false;
+        w.endArray();
+        return c.ok();
+    case Cursor::Kind::String:
+        if (!c.string(s))
+            return false;
+        w.value(s);
+        return true;
+    case Cursor::Kind::Bool:
+        if (!c.boolean(b))
+            return false;
+        w.value(b);
+        return true;
+    case Cursor::Kind::Null:
+        if (!c.null())
+            return false;
+        w.null();
+        return true;
+    case Cursor::Kind::Number:
+        if (!c.real(d))
+            return false;
+        w.value(d);
+        return true;
+    }
+    return false;
+}
+
+/** @p text re-encoded by the writer; nullopt, with the error in
+ *  @p error, when the cursor rejects it. */
+std::optional<std::string>
+echo(std::string_view text, bool pretty = false, std::string *error = nullptr)
+{
+    Cursor c(text);
+    std::string out;
+    Writer w(out, pretty);
+    std::string in;
+    if (echoValue(c, w, in) && c.end())
+        return out;
+    if (error != nullptr)
+        *error = c.error(in);
+    return std::nullopt;
+}
+
+/** The error the echo reports for @p text. */
 std::string
 errorOf(std::string_view text)
 {
     std::string error;
-    EXPECT_FALSE(parse(text, &error).has_value()) << text;
+    EXPECT_FALSE(echo(text, false, &error).has_value()) << text;
     return error;
 }
+
+/** The error JsonObject::parse() reports for @p line. */
+std::string
+lineErrorOf(std::string_view line)
+{
+    std::string error;
+    EXPECT_FALSE(JsonObject::parse(line, &error).has_value()) << line;
+    return error;
+}
+
+/** The number @p text read with Cursor::real(), bit for bit. */
+std::optional<uint64_t>
+realBits(std::string_view text)
+{
+    Cursor c(text);
+    double d = 0.0;
+    if (!c.real(d) || !c.end())
+        return std::nullopt;
+    return std::bit_cast<uint64_t>(d);
+}
+
+/** The one integer of @p text read with Cursor::integer(). */
+std::optional<int64_t>
+integerOf(std::string_view text,
+          int64_t lo = std::numeric_limits<int64_t>::min(),
+          int64_t hi = std::numeric_limits<int64_t>::max())
+{
+    Cursor c(text);
+    int64_t v = 0;
+    if (!c.integer(v, lo, hi) || !c.end())
+        return std::nullopt;
+    return v;
+}
+
+const char *const kSeedDocuments[] = {
+    // A request line.
+    R"({"id":"r1","benchmark":"QFT","qubits":8,"seed":3,"sched":"ZZXSched",)"
+    R"("pulse":"Pert","topology":"grid","device_seed":7,"deadline_ms":250.5,)"
+    R"("use_cache":true,"trace_id":null})",
+    // A calibration snapshot.
+    R"({"qzzcalib":1,"id":"run\u000a2","epoch":3,"num_qubits":2,)"
+    R"("coupling_mean":0.0012566370614359172,"coupling_stddev":)"
+    R"(0.00012566370614359173,"t1":[100000,"inf"],"t2":[80000,"inf"],)"
+    R"("anharmonicity":[-1.8849555921538759,-1.8849555921538759],)"
+    R"("edge_u":[0],"edge_v":[1],"zz":[0.0013]})",
+    // Manifest lines.
+    R"({"qzz_manifest":1})",
+    R"({"fp":"0123456789abcdef0123456789abcdef","bytes":6094,)"
+    R"("mtime_ms":1760000000000,"calib_epoch":3})",
+};
 
 // ---------------------------------------------------------------------------
 // Round trips
@@ -70,73 +195,73 @@ TEST(JsonTest, DoublesRoundTripBitExactly)
                                123456789012345680.0,
                                kInf,
                                -kInf};
-    for (double d : specials) {
-        const auto back = parse(encode(d));
-        ASSERT_TRUE(back.has_value()) << encode(d);
-        ASSERT_TRUE(back->asDouble().has_value()) << encode(d);
-        EXPECT_EQ(std::bit_cast<uint64_t>(*back->asDouble()),
-                  std::bit_cast<uint64_t>(d))
+    for (double d : specials)
+        EXPECT_EQ(realBits(encode(d)), std::bit_cast<uint64_t>(d))
             << encode(d);
-    }
     EXPECT_EQ(encode(kInf), "\"inf\"");
     EXPECT_EQ(encode(-kInf), "\"-inf\"");
     EXPECT_EQ(encode(std::nan("")), "null");
     EXPECT_EQ(encode(0.1), "0.1"); // shortest, not 17 digits
     EXPECT_EQ(encode(-0.0), "-0");
 
-    // Every finite bit pattern, sampled.
+    // Every finite bit pattern, sampled, through a request line.
     std::mt19937_64 rng(11);
     for (int i = 0; i < 20000; ++i) {
         const double d = std::bit_cast<double>(rng());
         if (!std::isfinite(d))
             continue;
-        const auto back = parse(encode(d));
+        const auto obj = JsonObject::parse("{\"d\":" + encode(d) + "}");
+        ASSERT_TRUE(obj.has_value()) << encode(d);
+        const auto back = obj->getNumber("d");
         ASSERT_TRUE(back.has_value()) << encode(d);
-        ASSERT_NE(back->asNumber(), nullptr);
-        ASSERT_EQ(std::bit_cast<uint64_t>(*back->asNumber()),
-                  std::bit_cast<uint64_t>(d))
+        ASSERT_EQ(std::bit_cast<uint64_t>(*back), std::bit_cast<uint64_t>(d))
             << encode(d);
     }
 }
 
-/** A random tree of every value kind, strings with arbitrary bytes. */
-Value
-randomValue(std::mt19937_64 &rng, int depth)
+/** Writes a random document of every value kind to @p w, strings
+ *  with arbitrary bytes. */
+void
+writeRandomValue(std::mt19937_64 &rng, int depth, Writer &w)
 {
     const int kind = int(rng() % (depth >= 4 ? 4 : 6));
     switch (kind) {
     case 0:
-        return Value();
+        w.null();
+        return;
     case 1:
-        return Value(bool(rng() & 1));
+        w.value(bool(rng() & 1));
+        return;
     case 2: {
         double d = std::bit_cast<double>(rng());
         if (!std::isfinite(d))
             d = double(int64_t(rng())) / 7.0;
-        return Value(d);
+        w.value(d);
+        return;
     }
     case 3: {
         std::string s;
         for (size_t n = rng() % 12; n > 0; --n)
             s.push_back(char(rng() & 0xff));
-        return Value(std::move(s));
+        w.value(s);
+        return;
     }
-    case 4: {
-        Array items;
+    case 4:
+        w.beginArray();
         for (size_t n = rng() % 5; n > 0; --n)
-            items.push_back(randomValue(rng, depth + 1));
-        return Value(std::move(items));
-    }
-    default: {
-        Object members;
-        for (size_t n = rng() % 5; n > 0; --n) {
+            writeRandomValue(rng, depth + 1, w);
+        w.endArray();
+        return;
+    default:
+        w.beginObject();
+        for (size_t n = rng() % 5, i = 0; i < n; ++i) {
             // Unique by the index; the control byte exercises escapes.
-            std::string key = std::to_string(members.size());
+            std::string key = std::to_string(i);
             key.push_back(char(rng() % 32));
-            members.emplace_back(std::move(key), randomValue(rng, depth + 1));
+            w.key(key);
+            writeRandomValue(rng, depth + 1, w);
         }
-        return Value(std::move(members));
-    }
+        w.endObject();
     }
 }
 
@@ -144,39 +269,55 @@ TEST(JsonTest, DecodeOfEncodeIsIdentity)
 {
     std::mt19937_64 rng(5);
     for (int i = 0; i < 2000; ++i) {
-        const Value v = randomValue(rng, 0);
+        const std::mt19937_64 start = rng;
         for (bool pretty : {false, true}) {
-            const std::string text = encode(v, pretty);
+            rng = start;
+            std::string text;
+            Writer w(text, pretty);
+            writeRandomValue(rng, 0, w);
             std::string error;
-            const auto back = parse(text, &error);
+            const auto back = echo(text, pretty, &error);
             ASSERT_TRUE(back.has_value()) << error << "\n" << text;
-            EXPECT_EQ(*back, v) << text;
-            EXPECT_EQ(encode(*back, pretty), text);
+            EXPECT_EQ(*back, text);
         }
     }
 }
 
 TEST(JsonTest, ObjectsKeepInsertionOrder)
 {
-    const auto v = parse(R"({"z":1,"a":2,"m":3})");
-    ASSERT_TRUE(v.has_value());
-    ASSERT_NE(v->asObject(), nullptr);
-    EXPECT_EQ(v->asObject()->at(0).first, "z");
-    EXPECT_EQ(v->asObject()->at(2).first, "m");
-    EXPECT_EQ(encode(*v), R"({"z":1,"a":2,"m":3})");
-    ASSERT_NE(v->find("a"), nullptr);
-    EXPECT_EQ(v->find("a")->asInt(), 2);
-    EXPECT_EQ(v->find("nope"), nullptr);
+    const std::string text = R"({"z":1,"a":2,"m":3})";
+    Cursor c(text);
+    std::string key;
+    std::vector<std::string> keys;
+    int64_t v = 0;
+    ASSERT_TRUE(c.beginObject());
+    while (c.member(key)) {
+        keys.push_back(key);
+        ASSERT_TRUE(c.integer(v, 1, 3));
+    }
+    EXPECT_TRUE(c.end());
+    EXPECT_EQ(keys, (std::vector<std::string>{"z", "a", "m"}));
+    EXPECT_EQ(echo(text), text);
+    const auto obj = JsonObject::parse(text);
+    ASSERT_TRUE(obj.has_value());
+    EXPECT_EQ(obj->getInt("a"), 2);
+    EXPECT_FALSE(obj->has("nope"));
 }
 
 TEST(JsonTest, WideObjectsStillRejectDuplicates)
 {
+    // Past 16 members the request reader checks keys with a hash
+    // index instead of a scan.
     std::string text = "{";
     for (int i = 0; i < 100; ++i)
         text += "\"k" + std::to_string(i) + "\":" + std::to_string(i) + ",";
-    EXPECT_TRUE(parse(text + "\"last\":0}").has_value());
-    EXPECT_NE(errorOf(text + "\"k3\":0}").find("duplicate key 'k3'"),
-              std::string::npos);
+    EXPECT_TRUE(JsonObject::parse(text + "\"last\":0}").has_value());
+    EXPECT_EQ(lineErrorOf(text + "\"k3\":0}"),
+              "duplicate key 'k3' at byte offset " +
+                  std::to_string(text.size()));
+    EXPECT_EQ(lineErrorOf(text + "\"k99\":0}"),
+              "duplicate key 'k99' at byte offset " +
+                  std::to_string(text.size()));
 }
 
 // ---------------------------------------------------------------------------
@@ -189,7 +330,7 @@ TEST(JsonTest, DepthIsBounded)
         return std::string(size_t(depth), '[') +
                std::string(size_t(depth), ']');
     };
-    EXPECT_TRUE(parse(nested(kMaxDepth)).has_value());
+    EXPECT_TRUE(echo(nested(kMaxDepth)).has_value());
     const std::string error = errorOf(nested(kMaxDepth + 1));
     EXPECT_NE(error.find("nesting deeper than 64 at byte offset 64"),
               std::string::npos)
@@ -201,12 +342,29 @@ TEST(JsonTest, DepthIsBounded)
 
 TEST(JsonTest, DocumentSizeIsBounded)
 {
-    std::string text(kMaxDocumentBytes, ' ');
-    text.front() = '"';
-    text.back() = '"';
-    EXPECT_TRUE(parse(text).has_value());
-    text.push_back(' ');
-    EXPECT_NE(errorOf(text).find("document longer than"), std::string::npos);
+    // A request line of exactly the bound is read; one byte more is
+    // refused before reading.
+    std::string line = "{\"k\":\"";
+    line.resize(kMaxDocumentBytes - 2, ' ');
+    line += "\"}";
+    const auto obj = JsonObject::parse(line);
+    ASSERT_TRUE(obj.has_value());
+    EXPECT_EQ(obj->getString("k")->size(), kMaxDocumentBytes - 8);
+    line.push_back(' ');
+    EXPECT_EQ(lineErrorOf(line), "document longer than 4194304 bytes at "
+                                 "byte offset 4194304");
+
+    // So is a calibration document padded past it.
+    std::string calib = kSeedDocuments[1];
+    calib.resize(kMaxDocumentBytes + 1, ' ');
+    std::string error;
+    EXPECT_FALSE(dev::readCalibrationJson(calib, &error).has_value());
+    EXPECT_NE(error.find("document longer than"), std::string::npos);
+
+    Cursor bounded("[1]", 2);
+    EXPECT_FALSE(bounded.ok());
+    EXPECT_FALSE(bounded.beginArray());
+    EXPECT_EQ(bounded.error(), "document longer than 2 bytes at byte offset 2");
 }
 
 TEST(JsonTest, CursorWalksAFixedSchema)
@@ -276,6 +434,48 @@ TEST(JsonTest, CursorSharesTheDepthBound)
     EXPECT_FALSE(opens(kMaxDepth + 1));
 }
 
+TEST(JsonTest, CursorReadsAnyMemberByKind)
+{
+    const std::string text =
+        R"({"b":false, "n":null, "s":"x", "d":2.5, "a":[], "o":{}})";
+    Cursor c(text);
+    std::string key, s;
+    bool b = true;
+    double d = 0.0;
+    ASSERT_TRUE(c.beginObject());
+    ASSERT_TRUE(c.member(key) && key == "b");
+    EXPECT_EQ(c.peek(), Cursor::Kind::Bool);
+    ASSERT_TRUE(c.boolean(b) && c.member(key) && key == "n");
+    EXPECT_EQ(c.peek(), Cursor::Kind::Null);
+    ASSERT_TRUE(c.null() && c.member(key) && key == "s");
+    EXPECT_EQ(c.peek(), Cursor::Kind::String);
+    ASSERT_TRUE(c.string(s) && c.member(key) && key == "d");
+    EXPECT_EQ(c.peek(), Cursor::Kind::Number);
+    ASSERT_TRUE(c.real(d) && c.member(key) && key == "a");
+    EXPECT_EQ(c.peek(), Cursor::Kind::Array);
+    ASSERT_TRUE(c.beginArray());
+    EXPECT_FALSE(c.more());
+    ASSERT_TRUE(c.member(key) && key == "o");
+    EXPECT_EQ(c.peek(), Cursor::Kind::Object);
+    ASSERT_TRUE(c.beginObject());
+    EXPECT_FALSE(c.member(key)); // the inner '}'
+    EXPECT_FALSE(c.member(key)); // the outer '}'
+    EXPECT_TRUE(c.ok() && c.end());
+    EXPECT_FALSE(b);
+    EXPECT_EQ(s, "x");
+    EXPECT_EQ(d, 2.5);
+
+    // fail() positions at the last token read: here the "n" key.
+    Cursor keyed(R"({"b":1, "n":2})");
+    int64_t v = 0;
+    ASSERT_TRUE(keyed.beginObject() && keyed.member(key) &&
+                keyed.integer(v, 0, 9) && keyed.member(key));
+    EXPECT_FALSE(keyed.fail("no '" + key + "' here"));
+    EXPECT_FALSE(keyed.integer(v, 0, 9)); // stays failed
+    EXPECT_EQ(keyed.error(), "no 'n' here at byte offset 8");
+    EXPECT_EQ(keyed.error("n"), "no 'n' here in 'n' at byte offset 8");
+}
+
 TEST(JsonTest, ErrorsCarryByteOffsets)
 {
     EXPECT_EQ(errorOf(""), "expected a value at byte offset 0");
@@ -289,38 +489,58 @@ TEST(JsonTest, ErrorsCarryByteOffsets)
     EXPECT_EQ(errorOf(R"({"a":"x)"),
               "unterminated string in 'a' at byte offset 7");
     EXPECT_EQ(errorOf(R"(["\q"])"), "unsupported escape at byte offset 2");
+    // The request reader reports the same errors.
+    EXPECT_EQ(lineErrorOf(""), "expected '{' at byte offset 0");
+    EXPECT_EQ(lineErrorOf(R"({"a":1 "b":2})"),
+              "expected ',' or '}' at byte offset 7");
+    EXPECT_EQ(lineErrorOf(R"({"a":tru})"),
+              "malformed literal in 'a' at byte offset 5");
+    EXPECT_EQ(lineErrorOf(R"({"a":"x)"),
+              "unterminated string in 'a' at byte offset 7");
 }
 
 TEST(JsonTest, RejectsDuplicateKeys)
 {
-    EXPECT_EQ(errorOf(R"({"a":1,"a":2})"),
+    EXPECT_EQ(lineErrorOf(R"({"a":1,"a":2})"),
               "duplicate key 'a' at byte offset 7");
-    // Nested objects name the member they sit in.
-    EXPECT_EQ(errorOf(R"({"o":{"b":1,"b":2}})"),
-              "duplicate key 'b' in 'o' at byte offset 12");
+    // A nested object is refused at its '{', before any of its keys.
+    EXPECT_EQ(lineErrorOf(R"({"o":{"b":1,"b":2}})"),
+              "nested values are not part of the protocol (key 'o') at "
+              "byte offset 5");
+    // The calibration reader names the duplicate at its key.
+    std::string calib = kSeedDocuments[1];
+    const size_t at = calib.size();
+    calib.insert(calib.size() - 1, ",\"epoch\":3");
+    std::string error;
+    EXPECT_FALSE(dev::readCalibrationJson(calib, &error).has_value());
+    EXPECT_EQ(error, "duplicate key 'epoch' at byte offset " +
+                         std::to_string(at));
 }
 
 TEST(JsonTest, RejectsTrailingContent)
 {
     EXPECT_EQ(errorOf("{} x"), "trailing content at byte offset 3");
     EXPECT_EQ(errorOf("1 2"), "trailing content at byte offset 2");
-    EXPECT_TRUE(parse(" \t\r\n{}\n ").has_value());
+    EXPECT_TRUE(echo(" \t\r\n{}\n ").has_value());
+    EXPECT_EQ(lineErrorOf(R"({"a":1} trailing)"),
+              "trailing content at byte offset 8");
+    EXPECT_TRUE(JsonObject::parse(" \t\r\n{}\n ").has_value());
 }
 
 TEST(JsonTest, RejectsRawControlCharactersAndNonAsciiEscapes)
 {
-    EXPECT_EQ(errorOf("{\"a\":\"x\ty\"}"),
+    EXPECT_EQ(lineErrorOf("{\"a\":\"x\ty\"}"),
               "control character in string in 'a' at byte offset 7");
     EXPECT_EQ(errorOf(R"(["\u00e9"])"),
               "non-ASCII \\u escape at byte offset 2");
     EXPECT_EQ(errorOf(R"(["\u12"])"), "malformed \\u escape at byte offset 6");
-    const auto ok = parse(R"(["A\u001f\/"])");
+    const auto ok = JsonObject::parse(R"({"k":"A\u001f\/"})");
     ASSERT_TRUE(ok.has_value());
-    EXPECT_EQ(*ok->asArray()->at(0).asString(), "A\x1f/");
+    EXPECT_EQ(ok->getString("k"), "A\x1f/");
     // Raw UTF-8 passes through untouched.
-    const auto utf8 = parse("[\"caf\xc3\xa9\"]");
+    const auto utf8 = JsonObject::parse("{\"k\":\"caf\xc3\xa9\"}");
     ASSERT_TRUE(utf8.has_value());
-    EXPECT_EQ(*utf8->asArray()->at(0).asString(), "caf\xc3\xa9");
+    EXPECT_EQ(utf8->getString("k"), "caf\xc3\xa9");
 }
 
 TEST(JsonTest, RejectsOutOfRangeAndMalformedNumbers)
@@ -328,34 +548,35 @@ TEST(JsonTest, RejectsOutOfRangeAndMalformedNumbers)
     EXPECT_EQ(errorOf("[1e999]"), "number out of range at byte offset 1");
     EXPECT_EQ(errorOf("[-1e999]"), "number out of range at byte offset 1");
     EXPECT_EQ(errorOf("[1e-400]"), "number out of range at byte offset 1");
-    EXPECT_EQ(errorOf(R"({"deadline_ms":1e999})"),
+    EXPECT_EQ(lineErrorOf(R"({"deadline_ms":1e999})"),
               "number out of range in 'deadline_ms' at byte offset 15");
     for (const char *bad : {"[01]", "[.5]", "[1.]", "[+1]", "[1e]", "[-]",
                             "[NaN]", "[inf]", "[0x10]"})
-        EXPECT_FALSE(parse(bad).has_value()) << bad;
-    const auto ok = parse("[0, -0.5, 1E+2, 2e-3, 1.7976931348623157e308]");
-    ASSERT_TRUE(ok.has_value());
-    EXPECT_EQ(*ok->asArray()->at(2).asNumber(), 100.0);
-    EXPECT_EQ(*ok->asArray()->at(4).asNumber(), DBL_MAX);
+        EXPECT_FALSE(echo(bad).has_value()) << bad;
+    EXPECT_EQ(realBits("1E+2"), std::bit_cast<uint64_t>(100.0));
+    EXPECT_EQ(realBits("1.7976931348623157e308"),
+              std::bit_cast<uint64_t>(DBL_MAX));
+    EXPECT_EQ(echo("[0, -0.5, 1E+2, 2e-3, 1.7976931348623157e308]"),
+              "[0,-0.5,100,0.002,1.7976931348623157e+308]");
 }
 
 TEST(JsonTest, IntegerAccessorIsRangeChecked)
 {
-    const auto v = parse(
-        R"([42, 1.5, 1e300, -1e300, 9223372036854775807, )"
-        R"(-9223372036854775808, "7", 11])");
-    ASSERT_TRUE(v.has_value());
-    const Array &a = *v->asArray();
-    EXPECT_EQ(a[0].asInt(), 42);
-    EXPECT_FALSE(a[1].asInt().has_value()); // fractional
-    EXPECT_FALSE(a[2].asInt().has_value());
-    EXPECT_FALSE(a[3].asInt().has_value());
-    EXPECT_FALSE(a[4].asInt().has_value()); // reads as 2^63
-    EXPECT_EQ(a[5].asInt(), std::numeric_limits<int64_t>::min());
-    EXPECT_FALSE(a[6].asInt().has_value()); // a string
-    EXPECT_EQ(a[7].asInt(0, 11), 11);
-    EXPECT_FALSE(a[7].asInt(0, 10).has_value());
-    EXPECT_FALSE(a[7].asInt(12).has_value());
+    EXPECT_EQ(integerOf("42"), 42);
+    EXPECT_FALSE(integerOf("1.5").has_value()); // fractional
+    EXPECT_FALSE(integerOf("1e300").has_value());
+    EXPECT_FALSE(integerOf("-1e300").has_value());
+    EXPECT_FALSE(integerOf("9223372036854775807").has_value()); // 2^63
+    EXPECT_EQ(integerOf("-9223372036854775808"),
+              std::numeric_limits<int64_t>::min());
+    EXPECT_FALSE(integerOf("\"7\"").has_value()); // a string
+    EXPECT_EQ(integerOf("11", 0, 11), 11);
+    EXPECT_FALSE(integerOf("11", 0, 10).has_value());
+    EXPECT_FALSE(integerOf("11", 12).has_value());
+    // The request reader's accessor applies the same check.
+    const auto obj = JsonObject::parse(R"({"big":9223372036854775807})");
+    ASSERT_TRUE(obj.has_value());
+    EXPECT_FALSE(obj->getInt("big").has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -402,35 +623,35 @@ TEST(JsonTest, EscapeOutput)
     EXPECT_EQ(out, "x\\n");
 }
 
-// ---------------------------------------------------------------------------
-// Mutation fuzzing
-// ---------------------------------------------------------------------------
-
-const char *const kSeedDocuments[] = {
-    // A request line.
-    R"({"id":"r1","benchmark":"QFT","qubits":8,"seed":3,"sched":"ZZXSched",)"
-    R"("pulse":"Pert","topology":"grid","device_seed":7,"deadline_ms":250.5,)"
-    R"("use_cache":true,"trace_id":null})",
-    // A calibration snapshot.
-    R"({"qzzcalib":1,"id":"run\u000a2","epoch":3,"num_qubits":2,)"
-    R"("coupling_mean":0.0012566370614359172,"coupling_stddev":)"
-    R"(0.00012566370614359173,"t1":[100000,"inf"],"t2":[80000,"inf"],)"
-    R"("anharmonicity":[-1.8849555921538759,-1.8849555921538759],)"
-    R"("edge_u":[0],"edge_v":[1],"zz":[0.0013]})",
-    // Manifest lines.
-    R"({"qzz_manifest":1})",
-    R"({"fp":"0123456789abcdef0123456789abcdef","bytes":6094,)"
-    R"("mtime_ms":1760000000000,"calib_epoch":3})",
-};
-
 TEST(JsonTest, MutantsGiveAValueOrAnError)
 {
     static const char kAlphabet[] =
         "{}[],:\"\\ \t\n0123456789.eE+-tfnu\x01\xc3";
+    const auto positioned = [](const std::string &error) {
+        return error.find(" at byte offset ") != std::string::npos;
+    };
     std::mt19937_64 rng(2024);
-    int parsed = 0, rejected = 0;
+    int parsed = 0, rejected = 0, served = 0;
     for (const char *seed : kSeedDocuments) {
-        ASSERT_TRUE(parse(seed).has_value()) << seed;
+        // Each seed also goes through the reader the service runs on
+        // it: the calibration snapshot through readCalibrationJson(),
+        // the request and manifest lines through JsonObject.
+        const bool calibration = seed == kSeedDocuments[1];
+        const auto serve = [calibration](const std::string &text,
+                                         std::string *why) {
+            if (!calibration)
+                return JsonObject::parse(text, why).has_value();
+            const auto calib = dev::readCalibrationJson(text, why);
+            if (calib) {
+                EXPECT_EQ(dev::readCalibrationJson(
+                              dev::calibrationJsonString(*calib)),
+                          calib)
+                    << text;
+            }
+            return calib.has_value();
+        };
+        ASSERT_TRUE(echo(seed).has_value()) << seed;
+        ASSERT_TRUE(serve(seed, nullptr)) << seed;
         for (int i = 0; i < 3000; ++i) {
             std::string text = seed;
             for (int edits = 1 + int(rng() % 3); edits > 0; --edits) {
@@ -451,22 +672,28 @@ TEST(JsonTest, MutantsGiveAValueOrAnError)
                 }
             }
             std::string error;
-            const auto v = parse(text, &error);
-            if (!v) {
+            const auto once = echo(text, false, &error);
+            if (!once) {
                 ++rejected;
-                EXPECT_NE(error.find(" at byte offset "), std::string::npos)
-                    << text;
-                continue;
+                EXPECT_TRUE(positioned(error)) << error << "\n" << text;
+            } else {
+                ++parsed;
+                // An accepted mutant is a document like any other.
+                EXPECT_EQ(echo(*once), *once) << text;
             }
-            ++parsed;
-            // An accepted mutant is a document like any other.
-            const auto again = parse(encode(*v));
-            ASSERT_TRUE(again.has_value()) << text;
-            EXPECT_EQ(*again, *v) << text;
+
+            std::string why;
+            if (serve(text, &why)) {
+                ++served;
+                EXPECT_TRUE(once.has_value()) << text;
+            } else {
+                EXPECT_TRUE(positioned(why)) << why << "\n" << text;
+            }
         }
     }
     EXPECT_GT(parsed, 0);
     EXPECT_GT(rejected, 0);
+    EXPECT_GT(served, 0);
 }
 
 } // namespace

@@ -14,6 +14,7 @@
 #include <random>
 
 #include "common/error.h"
+#include "common/json.h"
 #include "common/units.h"
 #include "device/calibration.h"
 #include "device/device.h"
@@ -285,7 +286,7 @@ TEST(CalibrationTest, JsonRejectsOutOfRangeIntegers)
 TEST(CalibrationTest, JsonMutantsAreRejectedOrValid)
 {
     // Seeded flips, truncations and insertions: each mutant is either
-    // a snapshot that validates or an error, never a crash.
+    // a snapshot that validates or a positioned error, never a crash.
     Rng rng(8);
     const std::string text = calibrationJsonString(
         Calibration::sampled(grid23(), DeviceParams{}, rng));
@@ -310,7 +311,8 @@ TEST(CalibrationTest, JsonMutantsAreRejectedOrValid)
         if (calib)
             EXPECT_NO_THROW(calib->validate());
         else
-            EXPECT_FALSE(error.empty()) << doc;
+            EXPECT_NE(error.find(" at byte offset "), std::string::npos)
+                << error << "\n" << doc;
     }
 }
 
@@ -333,6 +335,33 @@ TEST(CalibrationTest, FileLoadRejectsTruncatedFile)
     std::string error;
     EXPECT_FALSE(loadCalibrationFile(path, &error).has_value());
     EXPECT_NE(error.find("at byte"), std::string::npos) << error;
+    std::filesystem::remove_all(dir);
+}
+
+TEST(CalibrationTest, FileLoadIsBoundedByTheDocumentSize)
+{
+    // Trailing blanks keep the document valid, so only the bound
+    // tells the two files apart.
+    Rng rng(31);
+    const Calibration calib =
+        Calibration::sampled(grid23(), DeviceParams{}, rng);
+    std::string text = calibrationJsonString(calib);
+    const auto dir = std::filesystem::temp_directory_path() /
+                     ("qzz_calib_big_" +
+                      std::to_string(std::random_device{}()));
+    std::filesystem::create_directories(dir);
+    const std::string path = (dir / "big.qzzcalib").string();
+    const auto load = [&](size_t bytes, std::string *error) {
+        text.resize(bytes, ' ');
+        std::ofstream(path) << text;
+        return loadCalibrationFile(path, error);
+    };
+    std::string error;
+    const auto at_bound = load(json::kMaxDocumentBytes, &error);
+    ASSERT_TRUE(at_bound.has_value()) << error;
+    EXPECT_EQ(*at_bound, calib);
+    EXPECT_FALSE(load(json::kMaxDocumentBytes + 1, &error).has_value());
+    EXPECT_EQ(error, "'" + path + "' is longer than 4194304 bytes");
     std::filesystem::remove_all(dir);
 }
 

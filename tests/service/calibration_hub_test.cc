@@ -12,6 +12,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -21,6 +22,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "common/json.h"
 #include "common/rng.h"
 #include "device/calibration.h"
 #include "device/device.h"
@@ -258,6 +260,31 @@ TEST(CalibrationHubTest, WatchDirAppliesDroppedSnapshots)
     EXPECT_EQ(s.epochs_applied, 2u);
     EXPECT_GE(s.last_watch_latency_ms, 0.0);
 
+    fs::remove_all(dir);
+}
+
+TEST(CalibrationHubTest, WatchDirCountsAnOversizedFileAsAnError)
+{
+    // A valid snapshot padded one byte past the document bound: the
+    // watcher reads at most that one byte more and refuses the file.
+    const fs::path dir = fs::temp_directory_path() /
+                         ("qzz_hub_watch_big_" +
+                          std::to_string(std::random_device{}()));
+    fs::create_directories(dir);
+    CalibrationHubConfig hc;
+    hc.watch_dir = dir.string();
+    CalibrationHub hub(hc, nullptr, nullptr);
+    std::string text = dev::calibrationJsonString(
+        snapshotFor(graph::gridTopology(2, 3), 7, 1));
+    text.resize(json::kMaxDocumentBytes + 1, ' ');
+    {
+        std::ofstream big((dir / "grid-2x3@7.qzzcalib").string());
+        big << text;
+    }
+    EXPECT_EQ(hub.pollWatchDir(), 0u);
+    EXPECT_EQ(hub.stats().watch_errors, 1u);
+    EXPECT_EQ(hub.stats().watch_loads, 0u);
+    EXPECT_EQ(hub.currentEpoch("grid-2x3#7"), 0u);
     fs::remove_all(dir);
 }
 

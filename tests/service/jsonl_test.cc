@@ -22,7 +22,8 @@ TEST(JsonlTest, ParsesFlatObjectOfAllScalarTypes)
     EXPECT_EQ(obj->getBool("t"), true);
     EXPECT_EQ(obj->getBool("f"), false);
     EXPECT_TRUE(obj->has("z"));
-    EXPECT_EQ(obj->fields().size(), 6u);
+    EXPECT_FALSE(obj->getNumber("z").has_value()); // null has no type
+    EXPECT_FALSE(obj->has("y"));
 }
 
 TEST(JsonlTest, EmptyObjectAndSurroundingWhitespace)
