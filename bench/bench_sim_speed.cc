@@ -1,9 +1,9 @@
 /**
  * @file
- * Simulation-engine speed benchmark: fused kernels, per-layer phase
- * vectors, and propagator memoization against the retained scalar
- * reference paths (PulseSimOptions::scalar_reference), per-kernel
- * and end-to-end.
+ * Simulation-engine speed benchmark: the density-matrix Strang step
+ * and propagator memoization against the retained scalar reference
+ * paths (PulseSimOptions::scalar_reference), per step and
+ * end-to-end.
  *
  * Both paths run in the same process on the same inputs and must
  * agree numerically before any timing is reported, so the published
@@ -25,6 +25,7 @@
 #include <fstream>
 #include <functional>
 #include <new>
+#include <utility>
 
 #include "bench_common.h"
 #include "sim/drive_step.h"
@@ -93,26 +94,32 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/** Wall time (ns) of one call of @p fn. */
+template <typename Fn>
 double
-elapsedNs(Clock::time_point t0)
+timeNs(const Fn &fn)
 {
+    const auto t0 = Clock::now();
+    fn();
     return std::chrono::duration<double, std::nano>(Clock::now() - t0)
         .count();
 }
 
-/** Best-of-reps wall time (ns) for one call of @p fn: robust against
- *  one-off scheduler noise without needing many repetitions. */
-template <typename Fn>
-double
-bestNs(int reps, Fn &&fn)
+/** Best-of-reps wall times (ns) of one call of @p scalar and of
+ *  @p optimized: robust against one-off scheduler noise without
+ *  needing many repetitions.  The two are alternated call by call so
+ *  that both see the same host (clock speed, neighbours), and their
+ *  ratio does not depend on when the host changed. */
+template <typename S, typename O>
+std::pair<double, double>
+bestPairNs(int reps, const S &scalar, const O &optimized)
 {
-    double best = 0.0;
+    std::pair<double, double> best;
     for (int r = 0; r < reps; ++r) {
-        const auto t0 = Clock::now();
-        fn();
-        const double ns = elapsedNs(t0);
-        if (r == 0 || ns < best)
-            best = ns;
+        const double s = timeNs(scalar);
+        const double o = timeNs(optimized);
+        best.first = r == 0 ? s : std::min(best.first, s);
+        best.second = r == 0 ? o : std::min(best.second, o);
     }
     return best;
 }
@@ -123,14 +130,14 @@ sim::DensityMatrix
 warmState(int n, const pulse::PulseLibrary &lib)
 {
     sim::DensityMatrix rho(n);
-    la::Mat2 u2;
-    la::Mat4 u4;
-    sim::drive1QStep(lib.get(pulse::PulseGate::SX), 7.0, 0.4, u2);
-    sim::drive2QStep(lib.get(pulse::PulseGate::RZX), 31.0, 0.4, u4);
+    const la::CMatrix u2 =
+        sim::drive1QStepScalar(lib.get(pulse::PulseGate::SX), 7.0, 0.4);
+    const la::CMatrix u4 =
+        sim::drive2QStepScalar(lib.get(pulse::PulseGate::RZX), 31.0, 0.4);
     for (int q = 0; q < n; ++q)
-        rho.apply1Q(u2, q);
+        rho.apply1QScalar(u2, q);
     for (int q = 0; q + 1 < n; ++q)
-        rho.apply2Q(u4, q, q + 1);
+        rho.apply2QScalar(u4, q, q + 1);
     return rho;
 }
 
@@ -212,28 +219,28 @@ main(int argc, char **argv)
               << " end-to-end\n\n";
 
     // ------------------------------------------------------------
-    // Per-kernel timings on a 6-qubit (64x64) density matrix — the
+    // Per-step timings on a 6-qubit (64x64) density matrix — the
     // register size of the paper's Fig. 23 decoherence study.
     // ------------------------------------------------------------
     const pulse::PulseLibrary lib = pulse::PulseLibrary::gaussian();
     const int kn = 6;
     const size_t kdim = size_t(1) << kn;
-    const int kreps = quick ? 20 : 200;
+    // Best of many short samples: a ratio of two kernels that load the
+    // memory system differently moves with what else the host runs,
+    // and more samples over a longer window find a quiet moment.
+    const int kreps = 1000;
 
-    la::Mat2 u2;
-    la::Mat4 u4;
-    sim::drive1QStep(lib.get(pulse::PulseGate::SX), 10.0, 0.1, u2);
-    sim::drive2QStep(lib.get(pulse::PulseGate::RZX), 40.0, 0.1, u4);
     const la::CMatrix u2m =
         sim::drive1QStepScalar(lib.get(pulse::PulseGate::SX), 10.0, 0.1);
     const la::CMatrix u4m = sim::drive2QStepScalar(
         lib.get(pulse::PulseGate::RZX), 40.0, 0.1);
+    const la::Mat2 u2 = la::toMat2(u2m);
+    const la::Mat4 u4 = la::toMat4(u4m);
 
     std::vector<double> energies(kdim);
     for (size_t i = 0; i < kdim; ++i)
         energies[i] = 1e-3 * double(i % 17) - 5e-3;
     const double kdt = 0.1;
-    const la::CVector phases = sim::phaseVector(energies, kdt);
 
     std::vector<double> gamma(size_t(kn), 0.0);
     std::vector<double> keep(size_t(kn), 1.0);
@@ -246,68 +253,84 @@ main(int argc, char **argv)
 
     sim::DensityMatrix rho = warmState(kn, lib);
     std::vector<KernelResult> kernels;
+    // One arm: each side makes @p calls operations per timed call, so
+    // that an operation too short to time alone is timed in a batch;
+    // the results are per operation.
+    const auto arm = [&](const char *name, int qubits, int calls,
+                         const auto &scalar, const auto &optimized) {
+        const auto [s, o] = bestPairNs(kreps, scalar, optimized);
+        kernels.push_back({name, qubits, s / calls, o / calls});
+    };
 
-    kernels.push_back(
-        {"apply1Q", kn,
-         bestNs(kreps, [&] { rho.apply1QScalar(u2m, 2); }),
-         bestNs(kreps, [&] { rho.apply1Q(u2, 2); })});
-    kernels.push_back(
-        {"apply2Q", kn,
-         bestNs(kreps, [&] { rho.apply2QScalar(u4m, 1, 4); }),
-         bestNs(kreps, [&] { rho.apply2Q(u4, 1, 4); })});
-    kernels.push_back(
-        {"phase", kn,
-         bestNs(kreps, [&] { rho.applyDiagonalPhase(energies, kdt); }),
-         bestNs(kreps, [&] { rho.applyPhaseVector(phases); })});
-    kernels.push_back(
-        {"decoherence", kn,
-         bestNs(kreps,
-                [&] { rho.applyDecoherenceScalar(gamma, keep); }),
-         bestNs(kreps, [&] { rho.applyDecoherence(gamma, keep); })});
-
-    // One whole Strang step of the density-matrix simulator (one 2Q
-    // and two 1Q jobs): the scalar loop's phase / gates / phase /
-    // channel sweeps against A (A rho)^dag with the phases folded in,
-    // the factor table in the last store, then the transfer passes.
+    // Whole Strang steps of the density-matrix simulator, each the
+    // call sequence DensityMatrixScheduleSimulator::runLayerImpl makes
+    // against the one runLayerScalar makes for the same step.
     {
         const la::CVector p_half = sim::phaseVector(energies, kdt / 2.0);
+        const la::CVector p_full = sim::phaseVector(energies, kdt);
         sim::DecoherenceChannel channel;
         channel.assign(kn, gamma, keep);
+        // Scalar: phase / gates / phase / channel sweeps.
+        const auto scalarStep = [&](const auto &gates) {
+            return [&rho, &energies, &gamma, &keep, kdt, gates] {
+                rho.applyDiagonalPhase(energies, kdt / 2.0);
+                gates();
+                rho.applyDiagonalPhase(energies, kdt / 2.0);
+                rho.applyDecoherenceScalar(gamma, keep);
+            };
+        };
+        // Optimized: A (A rho)^dag with the phases folded in and the
+        // factor table in the last store, then the transfer passes.
+        const auto optimizedStep = [&](const sim::StepJob *jobs,
+                                       size_t count) {
+            return [&rho, &p_half, &channel, jobs, count] {
+                rho.applyStepUnitary(jobs, count, p_half, channel);
+                rho.applyTransfers(channel);
+            };
+        };
         const sim::StepJob jobs[] = {
             {u4.data(), 1, 4}, {u2.data(), 0, -1}, {u2.data(), 2, -1}};
-        kernels.push_back(
-            {"dm_step", kn, bestNs(kreps, [&] {
-                 rho.applyDiagonalPhase(energies, kdt / 2.0);
-                 rho.apply2QScalar(u4m, 1, 4);
-                 rho.apply1QScalar(u2m, 0);
-                 rho.apply1QScalar(u2m, 2);
-                 rho.applyDiagonalPhase(energies, kdt / 2.0);
-                 rho.applyDecoherenceScalar(gamma, keep);
-             }),
-             bestNs(kreps, [&] {
-                 rho.applyStepUnitary(jobs, 3, p_half, channel);
-                 rho.applyTransfers(channel);
-             })});
+        arm("dm_step", kn, 1, scalarStep([&] {
+                rho.apply2QScalar(u4m, 1, 4);
+                rho.apply1QScalar(u2m, 0);
+                rho.apply1QScalar(u2m, 2);
+            }),
+            optimizedStep(jobs, 3));
+        arm("dm_step_1q", kn, 1,
+            scalarStep([&] { rho.apply1QScalar(u2m, 2); }),
+            optimizedStep(jobs + 2, 1));
+        arm("dm_step_2q", kn, 1,
+            scalarStep([&] { rho.apply2QScalar(u4m, 1, 4); }),
+            optimizedStep(jobs, 1));
+        // A step whose pulses have all ended: one phase pass carrying
+        // the factor table, then the transfer passes.
+        arm("dm_idle_step", kn, 1, scalarStep([] {}), [&] {
+            rho.applyPhaseVector(p_full, channel);
+            rho.applyTransfers(channel);
+        });
     }
 
     // The propagator memo against recomputation: what each gate of a
-    // layer (beyond the first of its kind) pays per step.
+    // layer (beyond the first of its kind) pays per step.  A memo hit
+    // costs about as much as reading the clock, so both sides are
+    // timed in batches.
     {
         sim::StepPropagatorMemo memo;
         const pulse::PulseProgram &rzx =
             lib.get(pulse::PulseGate::RZX);
         memo.get2Q(rzx, pulse::PulseGate::RZX, 0, kdt); // warm
-        KernelResult kr;
-        kr.kernel = "propagator2Q";
-        kr.qubits = 2;
-        kr.scalar_ns = bestNs(kreps, [&] {
-            la::Mat4 out;
-            sim::drive2QStep(rzx, 0.5 * kdt, kdt, out);
-        });
-        kr.optimized_ns = bestNs(kreps, [&] {
-            (void)memo.get2Q(rzx, pulse::PulseGate::RZX, 0, kdt);
-        });
-        kernels.push_back(kr);
+        constexpr int kBatch = 64;
+        arm(
+            "propagator2Q", 2, kBatch,
+            [&] {
+                la::Mat4 out;
+                for (int i = 0; i < kBatch; ++i)
+                    sim::drive2QStep(rzx, 0.5 * kdt, kdt, out);
+            },
+            [&] {
+                for (int i = 0; i < kBatch; ++i)
+                    (void)memo.get2Q(rzx, pulse::PulseGate::RZX, 0, kdt);
+            });
     }
 
     Table ktable({"kernel", "qubits", "scalar ns/op",
@@ -345,7 +368,9 @@ main(int argc, char **argv)
     const core::CompileOptions copt{core::PulseMethod::Gaussian,
                                     core::SchedPolicy::Par,
                                     {}};
-    const int e2e_reps = quick ? 2 : 3;
+    // Quick runs are the ones CI gates on, and their runs are short,
+    // so they take the best of more of them.
+    const int e2e_reps = quick ? 10 : 3;
 
     sim::PulseSimOptions base_opt;
     base_opt.dt = 0.1;
@@ -382,14 +407,11 @@ main(int argc, char **argv)
         r.qubits = want_n;
         r.steps = totalSteps(prog.schedule, base_opt.dt);
         r.agreement = max_diff;
-        r.optimized_ms =
-            bestNs(e2e_reps,
-                   [&] { psi_opt = opt_sim.run(prog.schedule); }) /
-            1e6;
-        r.scalar_ms =
-            bestNs(e2e_reps,
-                   [&] { psi_opt = ref_sim.run(prog.schedule); }) /
-            1e6;
+        const auto [scalar_ns, optimized_ns] = bestPairNs(
+            e2e_reps, [&] { psi_opt = ref_sim.run(prog.schedule); },
+            [&] { psi_opt = opt_sim.run(prog.schedule); });
+        r.scalar_ms = scalar_ns / 1e6;
+        r.optimized_ms = optimized_ns / 1e6;
         const uint64_t opt_allocs = countedAllocsDuring(
             [&] { psi_opt = opt_sim.run(prog.schedule); });
         const uint64_t ref_allocs = countedAllocsDuring(
@@ -432,14 +454,11 @@ main(int argc, char **argv)
         r.qubits = want_n;
         r.steps = totalSteps(prog.schedule, base_opt.dt);
         r.agreement = max_diff;
-        r.optimized_ms =
-            bestNs(e2e_reps,
-                   [&] { rho_opt = opt_sim.run(prog.schedule); }) /
-            1e6;
-        r.scalar_ms =
-            bestNs(e2e_reps,
-                   [&] { rho_opt = ref_sim.run(prog.schedule); }) /
-            1e6;
+        const auto [scalar_ns, optimized_ns] = bestPairNs(
+            e2e_reps, [&] { rho_opt = ref_sim.run(prog.schedule); },
+            [&] { rho_opt = opt_sim.run(prog.schedule); });
+        r.scalar_ms = scalar_ns / 1e6;
+        r.optimized_ms = optimized_ns / 1e6;
         const uint64_t opt_allocs = countedAllocsDuring(
             [&] { rho_opt = opt_sim.run(prog.schedule); });
         const uint64_t ref_allocs = countedAllocsDuring(

@@ -8,7 +8,8 @@ speed, so absolute nanoseconds are never compared across machines.
   one run on one machine; those ratios transfer across hosts, so each
   kernel and end-to-end speedup must stay within --tolerance of the
   committed baseline ratio (and the bench's own acceptance bar must
-  have passed).
+  have passed).  An arm the run publishes and the baseline lacks
+  fails too: it would otherwise go ungated until someone re-pins.
 
 * bench_compile_time publishes absolute per-benchmark times.  Those
   are first normalized by the run's geometric mean, which cancels the
@@ -62,6 +63,11 @@ def check_sim_speed(cur, base, tol):
             failures.append(
                 f"{name}: speedup {current:.2f}x fell more than "
                 f"{tol:.0%} below baseline {baseline:.2f}x")
+    for name in sorted(cur_r.keys() - base_r.keys()):
+        print(f"  {name:28s} current {cur_r[name]:7.2f}x  UNGATED")
+        failures.append(
+            f"{name}: not in the baseline, so nothing gates it; "
+            f"re-pin the baseline to gate it")
     return failures
 
 

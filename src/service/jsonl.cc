@@ -1,7 +1,5 @@
 #include "service/jsonl.h"
 
-#include <unordered_set>
-
 namespace qzz::svc {
 
 std::optional<JsonObject>
@@ -10,10 +8,6 @@ JsonObject::parse(std::string_view line, std::string *error)
     using Kind = json::Cursor::Kind;
     json::Cursor c(line, json::kMaxDocumentBytes);
     JsonObject obj;
-    // Duplicate check: a linear scan while the line is narrow, a hash
-    // index past that, so wide lines stay linear-time.
-    constexpr size_t kLinearScan = 16;
-    std::unordered_set<std::string> index;
     std::string key;
     // The member whose value failed to read, named in the error.
     std::string in;
@@ -40,16 +34,15 @@ JsonObject::parse(std::string_view line, std::string *error)
     // After a failure member() is false and end() reports it.
     c.beginObject();
     while (c.member(key)) {
-        bool duplicate = false;
-        if (obj.members_.size() < kLinearScan) {
-            for (const auto &member : obj.members_)
-                duplicate = duplicate || member.first == key;
-        } else {
-            if (index.empty())
-                for (const auto &member : obj.members_)
-                    index.insert(member.first);
-            duplicate = !index.insert(key).second;
+        if (obj.members_.size() == kMaxMembers) {
+            c.fail("too many members (limit " + std::to_string(kMaxMembers) +
+                   ")");
+            break;
         }
+        // At most kMaxMembers members, so a scan is cheap enough.
+        bool duplicate = false;
+        for (const auto &member : obj.members_)
+            duplicate = duplicate || member.first == key;
         if (duplicate) {
             c.fail("duplicate key '" + key + "'");
             break;

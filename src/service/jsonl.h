@@ -6,9 +6,10 @@
  * string / number / boolean / null values: no nesting is needed to
  * describe a compilation request, so none is accepted.  The line is
  * walked once with json::Cursor, which rejects an array or object
- * value at its opening bracket, a duplicate key at the key, and a
- * line longer than json::kMaxDocumentBytes before reading it; every
- * error carries a byte offset.
+ * value at its opening bracket, a duplicate key or a member past
+ * JsonObject::kMaxMembers at the key, and a line longer than
+ * json::kMaxDocumentBytes before reading it; every error carries a
+ * byte offset.
  */
 
 #ifndef QZZ_SERVICE_JSONL_H
@@ -29,6 +30,10 @@ namespace qzz::svc {
 class JsonObject
 {
   public:
+    /** The most members a line may have.  A request reads about 15
+     *  keys; the bound caps what one line can make a reader hold. */
+    static constexpr size_t kMaxMembers = 128;
+
     /**
      * Parse one JSON-lines record.  On failure returns nullopt and,
      * when @p error is non-null, stores a human-readable description.

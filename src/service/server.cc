@@ -247,8 +247,6 @@ Session::writerLoop()
         }
         if (item.is_raw)
             conn_.write(item.raw);
-        else if (item.is_error)
-            printError(item.id, item.message);
         else
             respond(item.pending, item.pending.handle.get());
         {
@@ -273,11 +271,14 @@ Session::enqueue(OutItem item)
 void
 Session::enqueueError(const std::string &id, const std::string &message)
 {
-    OutItem item;
-    item.is_error = true;
-    item.id = id;
-    item.message = message;
-    enqueue(std::move(item));
+    std::string line;
+    json::Writer(line)
+        .beginObject()
+        .field("id", id)
+        .field("ok", false)
+        .field("error", message)
+        .endObject();
+    enqueueRaw(line + '\n');
 }
 
 void
@@ -381,19 +382,6 @@ Session::respond(const Pending &pending, const ServiceResult &result)
                                 std::to_string(payload.size()));
         trace->emit(span);
     }
-}
-
-void
-Session::printError(const std::string &id, const std::string &message)
-{
-    std::string line;
-    json::Writer(line)
-        .beginObject()
-        .field("id", id)
-        .field("ok", false)
-        .field("error", message)
-        .endObject();
-    conn_.write(line + '\n');
 }
 
 void

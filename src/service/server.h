@@ -141,20 +141,17 @@ class Session
         RequestHandle handle;
     };
 
-    /** One queued output line: a pending response, an inline error,
-     *  or a fully-rendered raw line (control responses and pushed
+    /** One queued output line: a pending response, or a
+     *  fully-rendered raw line (errors, control responses and pushed
      *  event frames).  Every byte the session emits flows through
      *  this queue, so the writer thread is the single writer on the
      *  connection and async calib_epoch events can never interleave
      *  with a response mid-line. */
     struct OutItem
     {
-        bool is_error = false;
         bool is_raw = false;
-        Pending pending;     ///< valid when !is_error && !is_raw
-        std::string id;      ///< valid when is_error
-        std::string message; ///< valid when is_error
-        std::string raw;     ///< valid when is_raw
+        Pending pending; ///< valid when !is_raw
+        std::string raw; ///< valid when is_raw
     };
 
     static std::string requestId(const JsonObject &obj, uint64_t lineno);
@@ -162,6 +159,7 @@ class Session
 
     void writerLoop();
     void enqueue(OutItem item);
+    /** Queue {"id","ok":false,"error"} as a raw line. */
     void enqueueError(const std::string &id, const std::string &message);
     /** Queue one complete output line (newline included) verbatim —
      *  safe from any thread; the CalibrationHub event sink uses it. */
@@ -174,7 +172,6 @@ class Session
     void unsubscribeHub();
 
     void respond(const Pending &pending, const ServiceResult &result);
-    void printError(const std::string &id, const std::string &message);
     void respondMetrics(const JsonObject &obj);
     void respondHello(const JsonObject &obj);
     void respondGc();

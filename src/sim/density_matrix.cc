@@ -1,5 +1,5 @@
-// The fused hot-path kernels (apply1Q/apply2Q/applyPhaseVector/
-// applyDecoherence) live in density_matrix_kernels.cc, the only
+// The Strang-step kernels (applyStepUnitary/applyTransfers/
+// applyPhaseVector) live in density_matrix_kernels.cc, the only
 // translation unit the build compiles with the vector ISA; this file
 // keeps the constructors, the retained scalar reference paths, and
 // the observables at baseline codegen.
@@ -31,20 +31,6 @@ DensityMatrix::fromPure(const StateVector &psi)
         for (size_t c = 0; c < a.size(); ++c)
             dm.rho_(r, c) = a[r] * std::conj(a[c]);
     return dm;
-}
-
-void
-DensityMatrix::apply1Q(const CMatrix &u, int q)
-{
-    require(u.rows() == 2 && u.cols() == 2, "apply1Q: need 2x2");
-    apply1Q(la::toMat2(u), q);
-}
-
-void
-DensityMatrix::apply2Q(const CMatrix &u, int q_hi, int q_lo)
-{
-    require(u.rows() == 4 && u.cols() == 4, "apply2Q: need 4x4");
-    apply2Q(la::toMat4(u), q_hi, q_lo);
 }
 
 void
@@ -200,7 +186,7 @@ DensityMatrix::applyDecoherenceScalar(const std::vector<double> &gamma,
                                       const std::vector<double> &keep)
 {
     require(int(gamma.size()) == n_ && int(keep.size()) == n_,
-            "applyDecoherence: per-qubit rate vectors must have one "
+            "applyDecoherenceScalar: per-qubit rate vectors must have one "
             "entry per qubit");
     for (int q = 0; q < n_; ++q) {
         if (gamma[size_t(q)] > 0.0)

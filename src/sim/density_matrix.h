@@ -6,28 +6,29 @@
  * matrices).  Relaxation (T1) and dephasing (T2) enter as exact
  * per-step Kraus channels on each qubit.
  *
- * Precondition of every optimized unitary kernel: rho is Hermitian.
- * A conjugation U rho U^dag is then computed as U (U rho)^dag, so
+ * The optimized surface is the one step the schedule simulator
+ * (sim/lindblad.cc) runs, and nothing else: a Strang step
+ * rho <- D(A rho A^dag), A = P(dt/2) J_k ... J_1 P(dt/2).
+ * applyStepUnitary() computes the conjugation as A (A rho)^dag, so
  * both factors are *left* products — row passes that mix whole rows,
  * contiguous along columns — with one in-place conjugate transpose
- * between them (applyStepUnitary, apply2Q).  apply1Q keeps the 2x2
- * block sweep, which is cheaper than two row passes for one qubit.
- *
- * A Strang step of the schedule simulator applies
- * rho <- D(A rho A^dag), A = P(dt/2) J_k ... J_1 P(dt/2), with the
- * diagonal ZZ phase P folded into the first and last job's row
- * coefficients.  The per-qubit channel D is split exactly into a real
- * per-element factor table F (its diagonal part, applied in the last
- * row pass) and one sparse transfer pass per lossy qubit
- * (DecoherenceChannel); applyDecoherence() runs the same two pieces.
+ * between them; this needs rho Hermitian.  The diagonal ZZ phase P
+ * rides in the first and last job's row coefficients.  The per-qubit
+ * channel D is split exactly into a real per-element factor table F
+ * (its diagonal part, applied in the last row pass) and one sparse
+ * transfer pass per lossy qubit (DecoherenceChannel,
+ * applyTransfers()).  A step whose pulses have all ended is
+ * applyPhaseVector() with the channel, then the transfers.
  *
  * For n >= 8 qubits every pass splits its rows across the shared
  * common::parallelFor() pool (disjoint writes, so results do not
  * depend on the thread count).  The unfused element-by-element
- * implementations are retained as *Scalar reference paths; the
+ * implementations are retained as *Scalar reference paths (with
+ * applyDiagonalPhase, applyAmplitudeDamping and applyDephasing); the
  * kernel-equivalence suite (tests/sim/kernel_equivalence_test.cc)
- * pins optimized == scalar, and bench/bench_sim_speed.cc measures
- * the ratio.  See docs/performance.md.
+ * pins optimized == scalar, and bench/bench_sim_speed.cc times the
+ * step's call sequences against the scalar ones.  See
+ * docs/performance.md.
  */
 
 #ifndef QZZ_SIM_DENSITY_MATRIX_H
@@ -108,16 +109,6 @@ class DensityMatrix
     la::CMatrix &matrix() { return rho_; }
     const la::CMatrix &matrix() const { return rho_; }
 
-    /** rho -> U_q rho U_q^dag for a 2x2 U (2x2 block sweep). */
-    void apply1Q(const la::Mat2 &u, int q);
-    void apply1Q(const la::CMatrix &u, int q);
-
-    /** rho -> U rho U^dag for a 4x4 U on (q_hi, q_lo), as
-     *  U (U rho)^dag: two row passes around an in-place conjugate
-     *  transpose.  Requires rho Hermitian. */
-    void apply2Q(const la::Mat4 &u, int q_hi, int q_lo);
-    void apply2Q(const la::CMatrix &u, int q_hi, int q_lo);
-
     /** Virtual RZ. */
     void applyRz(int q, double theta);
 
@@ -146,19 +137,6 @@ class DensityMatrix
     void applyDephasing(int q, double keep);
 
     /**
-     * Per-qubit decoherence sweep: amplitude damping with decay
-     * probability @p gamma[q] followed by dephasing with retention
-     * @p keep[q] on every qubit.  Qubits with gamma 0 / keep 1 are
-     * skipped, so a heterogeneous device pays only for its lossy
-     * qubits.  Both vectors must have numQubits() entries.
-     *
-     * One factor-table pass plus one transfer pass per lossy qubit
-     * (DecoherenceChannel); every gamma must be < 1.
-     */
-    void applyDecoherence(const std::vector<double> &gamma,
-                          const std::vector<double> &keep);
-
-    /**
      * The unitary half of one Strang step, fused with the channel's
      * factor table: rho <- F o (A rho A^dag) with
      * A = diag(p) J_k ... J_1 diag(p), for @p count >= 1 drive jobs
@@ -182,8 +160,13 @@ class DensityMatrix
      *  simulators' scalar_reference mode.
      *  @{
      */
+    /** rho -> U_q rho U_q^dag for a 2x2 U. */
     void apply1QScalar(const la::CMatrix &u, int q);
+    /** rho -> U rho U^dag for a 4x4 U on (q_hi, q_lo). */
     void apply2QScalar(const la::CMatrix &u, int q_hi, int q_lo);
+    /** Amplitude damping with decay probability @p gamma[q], then
+     *  dephasing with retention @p keep[q], qubit by qubit (one entry
+     *  per qubit each); DecoherenceChannel is its factored form. */
     void applyDecoherenceScalar(const std::vector<double> &gamma,
                                 const std::vector<double> &keep);
     /** @} */

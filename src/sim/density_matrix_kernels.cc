@@ -7,11 +7,11 @@
  * the bench_sim_speed scalar/optimized ratio then compares against
  * the true pre-optimization engine.
  *
- * Four primitives build every optimized operation besides apply1Q: a
- * row pass (one job left-applied, rows mixed whole and contiguous
- * along columns, optionally with a row phase folded in and a factor
- * table applied), an in-place conjugate transpose, a phase pass, and
- * a transfer pass (one lossy qubit's amplitude-damping feed).
+ * Four primitives build the Strang step: a row pass (one job
+ * left-applied, rows mixed whole and contiguous along columns,
+ * optionally with a row phase folded in and a factor table applied),
+ * an in-place conjugate transpose, a phase pass, and a transfer pass
+ * (one lossy qubit's amplitude-damping feed).
  */
 
 #include <array>
@@ -39,16 +39,6 @@ cmul(cplx a, cplx b)
 {
     return {a.real() * b.real() - a.imag() * b.imag(),
             a.real() * b.imag() + a.imag() * b.real()};
-}
-
-/** a * b + c * d, the row/column mixing primitive of the kernels. */
-inline cplx
-cmul2(cplx a, cplx b, cplx c, cplx d)
-{
-    return {a.real() * b.real() - a.imag() * b.imag() +
-                c.real() * d.real() - c.imag() * d.imag(),
-            a.real() * b.imag() + a.imag() * b.real() +
-                c.real() * d.imag() + c.imag() * d.real()};
 }
 
 /** Insert a zero bit at the position of one-bit @p mask: maps a
@@ -246,18 +236,6 @@ phasePass(cplx *m, size_t d, const cplx *p, const double *f)
     forRowGroups(d, d, body);
 }
 
-/** m[r,c] *= f[r,c] (f laid out like the matrix's doubles). */
-void
-factorPass(cplx *m, size_t d, const double *f)
-{
-    double *x = reinterpret_cast<double *>(m);
-    auto body = [&](size_t rlo, size_t rhi) {
-        for (size_t i = 2 * rlo * d; i < 2 * rhi * d; ++i)
-            x[i] *= f[i];
-    };
-    forRowGroups(d, d, body);
-}
-
 } // namespace
 
 void
@@ -267,7 +245,7 @@ DecoherenceChannel::assign(int n, const std::vector<double> &gamma,
     require(n >= 1 && n <= 10, "DecoherenceChannel: qubit count out of "
                                "range");
     require(int(gamma.size()) == n && int(keep.size()) == n,
-            "applyDecoherence: per-qubit rate vectors must have one "
+            "DecoherenceChannel: per-qubit rate vectors must have one "
             "entry per qubit");
     // Per qubit (most significant first): the factor of an element
     // whose (r_q, c_q) is (0,0), mixed or (1,1), as the damping and
@@ -279,7 +257,7 @@ DecoherenceChannel::assign(int n, const std::vector<double> &gamma,
         const double g = gamma[size_t(q)];
         const double kp = keep[size_t(q)];
         require(g >= 0.0 && g < 1.0 && kp >= 0.0 && kp <= 1.0,
-                "applyDecoherence: need 0 <= gamma < 1 and "
+                "DecoherenceChannel: need 0 <= gamma < 1 and "
                 "0 <= keep <= 1");
         t[size_t(q)] = {1.0, std::sqrt(1.0 - g) * kp, 1.0 - g};
         any = any || g > 0.0 || kp < 1.0;
@@ -320,58 +298,6 @@ DecoherenceChannel::factorsFor(size_t d) const
     require(factors_.size() == 2 * d * d,
             "DecoherenceChannel: built for another register size");
     return factors_.data();
-}
-
-void
-DensityMatrix::apply1Q(const la::Mat2 &u, int q)
-{
-    const size_t stride = size_t(1) << bitPos(q);
-    const size_t d = dim();
-    const cplx u00 = u[0], u01 = u[1], u10 = u[2], u11 = u[3];
-    const cplx v00 = std::conj(u00), v01 = std::conj(u01);
-    const cplx v10 = std::conj(u10), v11 = std::conj(u11);
-    cplx *m = rho_.data();
-
-    // U rho U^dag splits into independent 2x2 blocks over (row pair,
-    // column pair); each block is transformed in registers in one
-    // visit: left factor first (rows mix), then the right factor
-    // (columns mix) — the same arithmetic as the two-pass scalar
-    // kernel, in the same order, with half the memory traffic.
-    auto body = [&](size_t jlo, size_t jhi) {
-        for (size_t j = jlo; j < jhi; ++j) {
-            const size_t r0 = expandBit(j, stride);
-            cplx *row0 = m + r0 * d;
-            cplx *row1 = row0 + stride * d;
-            for (size_t base = 0; base < d; base += 2 * stride) {
-                for (size_t off = 0; off < stride; ++off) {
-                    const size_t c0 = base + off, c1 = c0 + stride;
-                    const cplx a00 = row0[c0], a01 = row0[c1];
-                    const cplx a10 = row1[c0], a11 = row1[c1];
-                    const cplx t00 = cmul2(u00, a00, u01, a10);
-                    const cplx t01 = cmul2(u00, a01, u01, a11);
-                    const cplx t10 = cmul2(u10, a00, u11, a10);
-                    const cplx t11 = cmul2(u10, a01, u11, a11);
-                    row0[c0] = cmul2(t00, v00, t01, v01);
-                    row0[c1] = cmul2(t00, v10, t01, v11);
-                    row1[c0] = cmul2(t10, v00, t11, v01);
-                    row1[c1] = cmul2(t10, v10, t11, v11);
-                }
-            }
-        }
-    };
-    forRowGroups(d, d / 2, body);
-}
-
-void
-DensityMatrix::apply2Q(const la::Mat4 &u, int q_hi, int q_lo)
-{
-    const StepJob job{u.data(), q_hi, q_lo};
-    const size_t s_hi = size_t(1) << bitPos(q_hi);
-    const size_t s_lo = size_t(1) << bitPos(q_lo);
-    const size_t d = dim();
-    rowPass(rho_.data(), d, job, s_hi, s_lo, nullptr, nullptr, nullptr);
-    adjointInPlace(rho_.data(), d);
-    rowPass(rho_.data(), d, job, s_hi, s_lo, nullptr, nullptr, nullptr);
 }
 
 void
@@ -441,18 +367,6 @@ DensityMatrix::applyTransfers(const DecoherenceChannel &channel)
             }
         };
         forRowGroups(d, d / 2, body);
-    }
-}
-
-void
-DensityMatrix::applyDecoherence(const std::vector<double> &gamma,
-                                const std::vector<double> &keep)
-{
-    DecoherenceChannel channel;
-    channel.assign(n_, gamma, keep);
-    if (const double *f = channel.factorsFor(dim())) {
-        factorPass(rho_.data(), dim(), f);
-        applyTransfers(channel);
     }
 }
 

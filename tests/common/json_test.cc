@@ -306,8 +306,7 @@ TEST(JsonTest, ObjectsKeepInsertionOrder)
 
 TEST(JsonTest, WideObjectsStillRejectDuplicates)
 {
-    // Past 16 members the request reader checks keys with a hash
-    // index instead of a scan.
+    // A duplicate is found however far back its first occurrence is.
     std::string text = "{";
     for (int i = 0; i < 100; ++i)
         text += "\"k" + std::to_string(i) + "\":" + std::to_string(i) + ",";
@@ -317,6 +316,22 @@ TEST(JsonTest, WideObjectsStillRejectDuplicates)
                   std::to_string(text.size()));
     EXPECT_EQ(lineErrorOf(text + "\"k99\":0}"),
               "duplicate key 'k99' at byte offset " +
+                  std::to_string(text.size()));
+}
+
+TEST(JsonTest, RequestLinesHoldAtMost128Members)
+{
+    ASSERT_EQ(JsonObject::kMaxMembers, 128u);
+    std::string text = "{";
+    for (int i = 0; i < 127; ++i)
+        text += "\"k" + std::to_string(i) + "\":" + std::to_string(i) + ",";
+    const std::optional<JsonObject> full =
+        JsonObject::parse(text + "\"k127\":0}");
+    ASSERT_TRUE(full.has_value());
+    EXPECT_EQ(full->getInt("k127"), 0);
+    text += "\"k127\":0,";
+    EXPECT_EQ(lineErrorOf(text + "\"k128\":0}"),
+              "too many members (limit 128) at byte offset " +
                   std::to_string(text.size()));
 }
 

@@ -28,8 +28,13 @@ TEST(DensityMatrixTest, UnitaryConjugationMatchesStateVector)
     auto cx = ckt::gateMatrix({ckt::GateKind::CX, {0, 1}});
     psi.apply1Q(h, 0);
     psi.apply2Q(cx, 0, 1);
-    rho.apply1Q(h, 0);
-    rho.apply2Q(cx, 0, 1);
+    // One step per gate, with unit phases and the identity channel.
+    const la::Mat2 h2 = la::toMat2(h);
+    const la::Mat4 cx4 = la::toMat4(cx);
+    const StepJob first{h2.data(), 0, -1}, second{cx4.data(), 0, 1};
+    const la::CVector ones(rho.dim(), 1.0);
+    rho.applyStepUnitary(&first, 1, ones, {});
+    rho.applyStepUnitary(&second, 1, ones, {});
     EXPECT_NEAR(rho.expectationPure(psi), 1.0, 1e-12);
     EXPECT_NEAR(rho.trace(), 1.0, 1e-12);
 }
@@ -40,7 +45,7 @@ TEST(DensityMatrixTest, RzMatchesStateVector)
     DensityMatrix rho(1);
     auto h = ckt::gateMatrix({ckt::GateKind::H, {0}});
     psi.apply1Q(h, 0);
-    rho.apply1Q(h, 0);
+    rho.apply1QScalar(h, 0);
     psi.applyRz(0, 0.9);
     rho.applyRz(0, 0.9);
     EXPECT_NEAR(rho.expectationPure(psi), 1.0, 1e-12);
@@ -53,7 +58,7 @@ TEST(DensityMatrixTest, DiagonalPhaseMatchesStateVector)
     auto h = ckt::gateMatrix({ckt::GateKind::H, {0}});
     for (int q = 0; q < 2; ++q) {
         psi.apply1Q(h, q);
-        rho.apply1Q(h, q);
+        rho.apply1QScalar(h, q);
     }
     auto table = zzEnergyTable(2, {{0, 1}}, {khz(300.0)});
     psi.applyDiagonalPhase(table, 15.0);
@@ -64,7 +69,7 @@ TEST(DensityMatrixTest, DiagonalPhaseMatchesStateVector)
 TEST(DensityMatrixTest, AmplitudeDampingDecaysExcitedState)
 {
     DensityMatrix rho(1);
-    rho.apply1Q(ckt::gateMatrix({ckt::GateKind::X, {0}}), 0);
+    rho.apply1QScalar(ckt::gateMatrix({ckt::GateKind::X, {0}}), 0);
     EXPECT_NEAR(rho.probabilityOne(0), 1.0, 1e-12);
     const double gamma = 0.25;
     rho.applyAmplitudeDamping(0, gamma);
@@ -75,7 +80,7 @@ TEST(DensityMatrixTest, AmplitudeDampingDecaysExcitedState)
 TEST(DensityMatrixTest, RepeatedDampingIsExponential)
 {
     DensityMatrix rho(1);
-    rho.apply1Q(ckt::gateMatrix({ckt::GateKind::X, {0}}), 0);
+    rho.apply1QScalar(ckt::gateMatrix({ckt::GateKind::X, {0}}), 0);
     const double dt = 10.0, t1 = 100.0;
     const double gamma = 1.0 - std::exp(-dt / t1);
     for (int i = 0; i < 10; ++i)
@@ -86,7 +91,7 @@ TEST(DensityMatrixTest, RepeatedDampingIsExponential)
 TEST(DensityMatrixTest, DephasingKillsCoherenceOnly)
 {
     DensityMatrix rho(1);
-    rho.apply1Q(ckt::gateMatrix({ckt::GateKind::H, {0}}), 0);
+    rho.apply1QScalar(ckt::gateMatrix({ckt::GateKind::H, {0}}), 0);
     rho.applyDephasing(0, 0.5);
     EXPECT_NEAR(rho.probabilityOne(0), 0.5, 1e-12); // populations kept
     EXPECT_NEAR(std::abs(rho.matrix()(0, 1)), 0.25, 1e-12);
@@ -95,8 +100,8 @@ TEST(DensityMatrixTest, DephasingKillsCoherenceOnly)
 TEST(DensityMatrixTest, DampingOnOneQubitLeavesOthersAlone)
 {
     DensityMatrix rho(2);
-    rho.apply1Q(ckt::gateMatrix({ckt::GateKind::X, {0}}), 0);
-    rho.apply1Q(ckt::gateMatrix({ckt::GateKind::X, {0}}), 1);
+    rho.apply1QScalar(ckt::gateMatrix({ckt::GateKind::X, {0}}), 0);
+    rho.apply1QScalar(ckt::gateMatrix({ckt::GateKind::X, {0}}), 1);
     rho.applyAmplitudeDamping(0, 0.5);
     EXPECT_NEAR(rho.probabilityOne(0), 0.5, 1e-12);
     EXPECT_NEAR(rho.probabilityOne(1), 1.0, 1e-12);
@@ -108,12 +113,15 @@ TEST(DensityMatrixTest, PerQubitDecoherenceSweep)
     // qubit 2 is untouched — in one sweep.
     DensityMatrix rho(3);
     for (int q = 0; q < 3; ++q)
-        rho.apply1Q(ckt::gateMatrix({ckt::GateKind::H, {0}}), q);
-    rho.applyDecoherence({0.5, 0.0, 0.0}, {1.0, 0.5, 1.0});
+        rho.apply1QScalar(ckt::gateMatrix({ckt::GateKind::H, {0}}), q);
+    DecoherenceChannel channel;
+    channel.assign(3, {0.5, 0.0, 0.0}, {1.0, 0.5, 1.0});
+    rho.applyPhaseVector(la::CVector(rho.dim(), 1.0), channel);
+    rho.applyTransfers(channel);
 
     DensityMatrix expected(3);
     for (int q = 0; q < 3; ++q)
-        expected.apply1Q(ckt::gateMatrix({ckt::GateKind::H, {0}}), q);
+        expected.apply1QScalar(ckt::gateMatrix({ckt::GateKind::H, {0}}), q);
     expected.applyAmplitudeDamping(0, 0.5);
     expected.applyDephasing(1, 0.5);
     for (size_t r = 0; r < rho.dim(); ++r)
@@ -122,13 +130,13 @@ TEST(DensityMatrixTest, PerQubitDecoherenceSweep)
                                  expected.matrix()(r, c)),
                         0.0, 1e-14);
 
-    EXPECT_THROW(rho.applyDecoherence({0.5}, {1.0}), UserError);
+    EXPECT_THROW(channel.assign(3, {0.5}, {1.0}), UserError);
 }
 
 TEST(DensityMatrixTest, MixedStateExpectation)
 {
     DensityMatrix rho(1);
-    rho.apply1Q(ckt::gateMatrix({ckt::GateKind::H, {0}}), 0);
+    rho.apply1QScalar(ckt::gateMatrix({ckt::GateKind::H, {0}}), 0);
     rho.applyDephasing(0, 0.0); // fully mixed in x-basis
     StateVector plus(1);
     plus.apply1Q(ckt::gateMatrix({ckt::GateKind::H, {0}}), 0);

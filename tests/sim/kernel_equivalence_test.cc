@@ -2,7 +2,7 @@
  * @file
  * Optimized-kernel vs scalar-reference equivalence suite.
  *
- * The fused density-matrix kernels, the memoized step propagators,
+ * The density-matrix Strang step, the memoized step propagators,
  * and the phase-vector sweeps are performance rewrites that must not
  * move physics: every test here pins an optimized path against the
  * retained scalar reference on randomized states, across register
@@ -65,6 +65,14 @@ randomState(Rng &rng, int n)
     return dm;
 }
 
+/** The unit phase vector of an @p n-qubit register: a step with it
+ *  and the identity channel is its jobs' conjugation alone. */
+la::CVector
+unitPhases(int n)
+{
+    return la::CVector(size_t(1) << n, cplx{1.0, 0.0});
+}
+
 double
 maxAbsDiff(const CMatrix &a, const CMatrix &b)
 {
@@ -80,10 +88,12 @@ TEST(KernelEquivalence, Fused1QMatchesScalarAcrossSizes)
     Rng rng(11);
     for (int n = 2; n <= 8; ++n) {
         const CMatrix u = randomUnitary(rng, 2);
+        const la::Mat2 m = la::toMat2(u);
         for (int q = 0; q < n; ++q) {
             DensityMatrix a = randomState(rng, n);
             DensityMatrix b = a;
-            a.apply1Q(u, q);
+            const StepJob job{m.data(), q, -1};
+            a.applyStepUnitary(&job, 1, unitPhases(n), {});
             b.apply1QScalar(u, q);
             EXPECT_LE(maxAbsDiff(a.matrix(), b.matrix()), 1e-14)
                 << "n=" << n << " q=" << q;
@@ -96,13 +106,15 @@ TEST(KernelEquivalence, Fused2QMatchesScalarAcrossPairs)
     Rng rng(12);
     for (int n = 2; n <= 8; ++n) {
         const CMatrix u = randomUnitary(rng, 4);
+        const la::Mat4 m = la::toMat4(u);
         for (int qa = 0; qa < n; ++qa)
             for (int qb = 0; qb < n; ++qb) {
                 if (qa == qb)
                     continue;
                 DensityMatrix a = randomState(rng, n);
                 DensityMatrix b = a;
-                a.apply2Q(u, qa, qb);
+                const StepJob job{m.data(), qa, qb};
+                a.applyStepUnitary(&job, 1, unitPhases(n), {});
                 b.apply2QScalar(u, qa, qb);
                 EXPECT_LE(maxAbsDiff(a.matrix(), b.matrix()), 1e-14)
                     << "n=" << n << " pair=(" << qa << "," << qb << ")";
@@ -138,9 +150,12 @@ TEST(KernelEquivalence, FusedDecoherenceMatchesSequentialChannels)
                 break;
             }
         }
+        DecoherenceChannel channel;
+        channel.assign(n, gamma, keep);
         DensityMatrix a = randomState(rng, n);
         DensityMatrix b = a;
-        a.applyDecoherence(gamma, keep);
+        a.applyPhaseVector(unitPhases(n), channel);
+        a.applyTransfers(channel);
         b.applyDecoherenceScalar(gamma, keep);
         EXPECT_LE(maxAbsDiff(a.matrix(), b.matrix()), 1e-14) << "n=" << n;
     }
@@ -531,23 +546,27 @@ TEST(KernelEquivalence, StepUnitaryIsTheConjugationTimesTheFactorTable)
 
 TEST(KernelEquivalence, PoolSplitKernelsMatchAtEightQubits)
 {
-    // n = 8 crosses the parallelFor threshold (dim 256): the fused
-    // kernels split across the shared pool.  Equivalence here plus
-    // the TSan CI leg checks both correctness and data-race freedom
-    // of the block partitioning.
+    // n = 8 crosses the parallelFor threshold (dim 256): every pass
+    // of the step splits across the shared pool.  Equivalence here
+    // plus the TSan CI leg checks both correctness and data-race
+    // freedom of the block partitioning.
     Rng rng(17);
     const int n = 8;
     const CMatrix u2 = randomUnitary(rng, 2);
     const CMatrix u4 = randomUnitary(rng, 4);
+    const la::Mat2 m2 = la::toMat2(u2);
+    const la::Mat4 m4 = la::toMat4(u4);
+    const StepJob jobs[] = {{m2.data(), 3, -1}, {m4.data(), 1, 6}};
+    std::vector<double> gamma(size_t(n), 0.01), keep(size_t(n), 0.995);
+    DecoherenceChannel channel;
+    channel.assign(n, gamma, keep);
     DensityMatrix a = randomState(rng, n);
     DensityMatrix b = a;
 
-    a.apply1Q(u2, 3);
+    a.applyStepUnitary(jobs, 2, unitPhases(n), channel);
+    a.applyTransfers(channel);
     b.apply1QScalar(u2, 3);
-    a.apply2Q(u4, 1, 6);
     b.apply2QScalar(u4, 1, 6);
-    std::vector<double> gamma(size_t(n), 0.01), keep(size_t(n), 0.995);
-    a.applyDecoherence(gamma, keep);
     b.applyDecoherenceScalar(gamma, keep);
     EXPECT_LE(maxAbsDiff(a.matrix(), b.matrix()), 1e-13);
 }

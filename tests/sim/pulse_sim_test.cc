@@ -178,7 +178,7 @@ TEST(PulseSimTest, HeterogeneousT1DecaysPerQubit)
         dev, pulse::PulseLibrary::gaussian(), opt);
     DensityMatrix rho(2);
     for (int q = 0; q < 2; ++q)
-        rho.apply1Q(ckt::gateMatrix({ckt::GateKind::X, {0}}), q);
+        rho.apply1QScalar(ckt::gateMatrix({ckt::GateKind::X, {0}}), q);
     sim.run(sched, rho);
     // Identity = Rx(2 pi) returns each qubit to |1> up to phase, but
     // qubit 0 decohered along the way.
