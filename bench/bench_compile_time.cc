@@ -9,11 +9,16 @@
  *
  * Set QZZ_QUICK=1 for a fast smoke run (used by the CI smoke job,
  * which publishes the JSON output as the BENCH_compile_time.json
- * artifact so per-PR API-overhead regressions stay visible).
+ * artifact so per-PR API-overhead regressions stay visible).  The CI
+ * perf job gates the median rows of repeated runs with
+ * bench/check_perf_regression.py (docs/performance.md).  The JSON
+ * context records the host's CPU model (cpu_model), since a
+ * baseline's shares belong to the machine it was pinned on.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -123,10 +128,9 @@ BM_CompilerZzxGrc12(benchmark::State &state)
 BENCHMARK(BM_CompilerZzxGrc12)->Unit(benchmark::kMillisecond);
 
 /** A fresh Compiler per compile: build (per-device tables) plus the
- *  pipeline.  The name is kept from the removed free-function compile
- *  shim, which did exactly this; the committed baseline lists it. */
+ *  pipeline. */
 void
-BM_ShimCompileGrc12(benchmark::State &state)
+BM_BuildAndCompileGrc12(benchmark::State &state)
 {
     auto device = makeDevice(3, 4);
     Rng rng(3);
@@ -141,7 +145,7 @@ BM_ShimCompileGrc12(benchmark::State &state)
         benchmark::DoNotOptimize(prog.schedule.layers.size());
     }
 }
-BENCHMARK(BM_ShimCompileGrc12)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BuildAndCompileGrc12)->Unit(benchmark::kMillisecond);
 
 /** Per-device table precomputation paid once per CompilerBuilder. */
 void
@@ -158,7 +162,9 @@ BM_CompilerBuild(benchmark::State &state)
 }
 BENCHMARK(BM_CompilerBuild)->Unit(benchmark::kMicrosecond);
 
-/** Batch fan-out: 8 GRC-12 circuits over N worker threads. */
+/** Batch fan-out: 8 GRC-12 circuits over N worker threads, timed by
+ *  the wall clock (the calling thread's CPU time would miss the
+ *  workers'). */
 void
 BM_CompileBatch8(benchmark::State &state)
 {
@@ -182,6 +188,7 @@ BM_CompileBatch8(benchmark::State &state)
 BENCHMARK(BM_CompileBatch8)
     ->Arg(1)
     ->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void
@@ -202,11 +209,26 @@ BM_PulseLayerStep12Qubits(benchmark::State &state)
 }
 BENCHMARK(BM_PulseLayerStep12Qubits)->Unit(benchmark::kMillisecond);
 
+/** The "model name" line of /proc/cpuinfo; "unknown" without one. */
+std::string
+cpuModel()
+{
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    for (std::string line; std::getline(cpuinfo, line);) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        const size_t colon = line.find(':');
+        if (colon != std::string::npos && colon + 2 <= line.size())
+            return line.substr(colon + 2);
+    }
+    return "unknown";
+}
+
 } // namespace
 
 /** BENCHMARK_MAIN(), plus quick mode: QZZ_QUICK=1 caps the per-bench
  *  measuring time unless the caller passed --benchmark_min_time
- *  explicitly. */
+ *  explicitly.  The context also records the CPU model. */
 int
 main(int argc, char **argv)
 {
@@ -223,6 +245,7 @@ main(int argc, char **argv)
     }
     int args_count = int(args.size());
     benchmark::Initialize(&args_count, args.data());
+    benchmark::AddCustomContext("cpu_model", cpuModel());
     if (benchmark::ReportUnrecognizedArguments(args_count,
                                                args.data()))
         return 1;

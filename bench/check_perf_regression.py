@@ -11,23 +11,36 @@ speed, so absolute nanoseconds are never compared across machines.
   have passed).  An arm the run publishes and the baseline lacks
   fails too: it would otherwise go ungated until someone re-pins.
 
-* bench_compile_time publishes absolute per-benchmark times.  Those
-  are first normalized by the run's geometric mean, which cancels the
-  host speed factor; a benchmark fails only if its share of the run
-  grew by more than --tolerance relative to the baseline's share --
-  i.e. it got slower relative to its peers, not the machine.
+* bench_compile_time publishes absolute per-benchmark times.  The
+  gate reads the `median` aggregate rows of runs made with
+  --benchmark_repetitions=5 --benchmark_report_aggregates_only=true,
+  by their wall-clock real_time (threaded arms run off the calling
+  thread, so its cpu_time misses their work).  Given several current
+  runs (separate processes), each arm's time is the median of its
+  per-run medians: a whole process can land on a busy core, which
+  no repetition inside it averages out.  The times are then
+  normalized by their geometric mean, which cancels the host speed
+  factor; a benchmark fails only if its share grew by more than
+  --tolerance relative to the baseline's share -- i.e. it got slower
+  relative to its peers, not the machine.  As for sim_speed, an arm
+  the baseline lacks fails.
 
-Exit status 0 when nothing regressed, 1 otherwise.  Repin a baseline
-by copying the fresh JSON over bench/baselines/<name>.json.
+Exit status 0 when nothing regressed, 1 otherwise.  Repin the
+sim_speed baseline by copying a fresh JSON over
+bench/baselines/BENCH_sim_speed.json; repin the compile_time one with
+pin_compile_time, which writes the per-arm median over the given runs.
 
 Usage:
   check_perf_regression.py sim_speed     <current.json> <baseline.json>
-  check_perf_regression.py compile_time  <current.json> <baseline.json>
+  check_perf_regression.py compile_time  <current.json>... <baseline.json>
+  check_perf_regression.py pin_compile_time <baseline.json> <run.json>...
 """
 
 import argparse
+import copy
 import json
 import math
+import statistics
 import sys
 
 
@@ -74,15 +87,26 @@ def check_sim_speed(cur, base, tol):
 UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
-def compile_time_shares(doc):
-    times = {}
-    for b in doc.get("benchmarks", []):
-        # Skip aggregate rows (mean/median/stddev) if present.
-        if b.get("run_type") == "aggregate":
-            continue
-        # cpu_time is expressed in the benchmark's own time_unit.
-        times[b["name"]] = (float(b["cpu_time"])
-                            * UNIT_NS[b.get("time_unit", "ns")])
+def median_rows(doc):
+    return [b for b in doc.get("benchmarks", [])
+            if b.get("run_type") == "aggregate"
+            and b.get("aggregate_name") == "median"]
+
+
+def compile_time_ns(docs):
+    """Each arm's real time (ns): the median over @docs of its median
+    row."""
+    samples = {}
+    for doc in docs:
+        for b in median_rows(doc):
+            # real_time is expressed in the benchmark's own time_unit.
+            samples.setdefault(b["run_name"], []).append(
+                float(b["real_time"]) * UNIT_NS[b.get("time_unit", "ns")])
+    return {name: statistics.median(v) for name, v in samples.items()}
+
+
+def compile_time_shares(docs):
+    times = compile_time_ns(docs)
     if not times:
         return {}
     geomean = math.exp(sum(math.log(t) for t in times.values())
@@ -90,11 +114,29 @@ def compile_time_shares(doc):
     return {name: t / geomean for name, t in times.items()}
 
 
-def check_compile_time(cur, base, tol):
+def pin_compile_time(runs):
+    """A baseline from several runs: the first run's context and median
+    rows, each row's real_time replaced by the arm's median over the
+    runs."""
+    times = compile_time_ns(runs)
+    out = copy.deepcopy(runs[0])
+    out["context"]["pinned_from_runs"] = len(runs)
+    out["benchmarks"] = median_rows(out)
+    for b in out["benchmarks"]:
+        b["real_time"] = (times[b["run_name"]]
+                          / UNIT_NS[b.get("time_unit", "ns")])
+    return out
+
+
+def check_compile_time(cur_runs, base, tol):
     failures = []
-    cur_s, base_s = compile_time_shares(cur), compile_time_shares(base)
+    cur_s = compile_time_shares(cur_runs)
+    base_s = compile_time_shares([base])
     if not cur_s:
-        return ["current compile-time JSON has no benchmarks"]
+        return ["current compile-time JSON has no median rows "
+                "(run with --benchmark_repetitions)"]
+    if not base_s:
+        return ["baseline compile-time JSON has no median rows"]
     for name, baseline in sorted(base_s.items()):
         if name not in cur_s:
             failures.append(f"{name}: missing from current run")
@@ -108,25 +150,47 @@ def check_compile_time(cur, base, tol):
             failures.append(
                 f"{name}: normalized time {current:.4f} grew more than "
                 f"{tol:.0%} over baseline {baseline:.4f}")
+    for name in sorted(cur_s.keys() - base_s.keys()):
+        print(f"  {name:32s} current {cur_s[name]:8.4f}  UNGATED")
+        failures.append(
+            f"{name}: not in the baseline, so nothing gates it; "
+            f"re-pin the baseline to gate it")
     return failures
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("mode", choices=["sim_speed", "compile_time"])
-    ap.add_argument("current")
-    ap.add_argument("baseline")
+    ap = argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("mode",
+                    choices=["sim_speed", "compile_time",
+                             "pin_compile_time"])
+    ap.add_argument("files", nargs="+")
     ap.add_argument("--tolerance", type=float, default=0.20,
                     help="allowed relative regression (default 0.20)")
     args = ap.parse_args()
+    if len(args.files) < 2 or (args.mode == "sim_speed"
+                               and len(args.files) != 2):
+        ap.error("wrong number of files for " + args.mode)
 
-    cur, base = load(args.current), load(args.baseline)
-    print(f"== {args.mode}: {args.current} vs {args.baseline} "
+    if args.mode == "pin_compile_time":
+        out, runs = args.files[0], [load(f) for f in args.files[1:]]
+        with open(out, "w", encoding="utf-8") as f:
+            json.dump(pin_compile_time(runs), f, indent=2)
+            f.write("\n")
+        print(f"pinned {out} from {len(runs)} runs")
+        return 0
+
+    current, baseline = args.files[:-1], args.files[-1]
+    base = load(baseline)
+    print(f"== {args.mode}: {' '.join(current)} vs {baseline} "
           f"(tolerance {args.tolerance:.0%}) ==")
     if args.mode == "sim_speed":
-        failures = check_sim_speed(cur, base, args.tolerance)
+        failures = check_sim_speed(load(current[0]), base,
+                                   args.tolerance)
     else:
-        failures = check_compile_time(cur, base, args.tolerance)
+        failures = check_compile_time([load(f) for f in current], base,
+                                      args.tolerance)
 
     if failures:
         print("\nPERF REGRESSION:")

@@ -19,19 +19,21 @@ runGate(pulse::PulseGate gate, const la::CMatrix &target)
         std::string name;
         pulse::PulseProgram program;
     };
-    const auto provider = core::defaultPulseProvider();
     std::vector<Entry> entries;
     entries.push_back(
         {"Gaussian",
          pulse::PulseLibrary::gaussian().get(gate)});
     entries.push_back(
         {"OptCtrl",
-         provider->library(core::PulseMethod::OptCtrl)->get(gate)});
+         core::getPulseLibraryShared(core::PulseMethod::OptCtrl)
+             ->get(gate)});
     entries.push_back(
-        {"DCG", provider->library(core::PulseMethod::DCG)->get(gate)});
+        {"DCG",
+         core::getPulseLibraryShared(core::PulseMethod::DCG)->get(gate)});
     entries.push_back(
         {"Pert",
-         provider->library(core::PulseMethod::Pert)->get(gate)});
+         core::getPulseLibraryShared(core::PulseMethod::Pert)
+             ->get(gate)});
 
     Table table({"lambda/2pi (MHz)", "Gaussian", "OptCtrl",
                  "DCG", "Pert"});

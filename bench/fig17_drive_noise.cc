@@ -15,8 +15,7 @@ main()
                   "Pert Rx(pi/2) robustness to drive noise");
     const la::CMatrix target = la::expPauli(kPi / 4.0, 0.0, 0.0);
     const pulse::PulseProgram pert =
-        core::defaultPulseProvider()
-            ->library(core::PulseMethod::Pert)
+        core::getPulseLibraryShared(core::PulseMethod::Pert)
             ->get(pulse::PulseGate::SX);
 
     {

@@ -27,17 +27,16 @@ main()
                   "Rx(pi/2) under ZZ crosstalk and leakage (5-level "
                   "transmon, DRAG)");
     const la::CMatrix target = la::expPauli(kPi / 4.0, 0.0, 0.0);
-    const auto provider = core::defaultPulseProvider();
     const pulse::PulseProgram gauss =
         pulse::PulseLibrary::gaussian().get(pulse::PulseGate::SX);
     const pulse::PulseProgram pert =
-        provider->library(core::PulseMethod::Pert)
+        core::getPulseLibraryShared(core::PulseMethod::Pert)
             ->get(pulse::PulseGate::SX);
     const pulse::PulseProgram octl =
-        provider->library(core::PulseMethod::OptCtrl)
+        core::getPulseLibraryShared(core::PulseMethod::OptCtrl)
             ->get(pulse::PulseGate::SX);
     const pulse::PulseProgram dcg =
-        provider->library(core::PulseMethod::DCG)
+        core::getPulseLibraryShared(core::PulseMethod::DCG)
             ->get(pulse::PulseGate::SX);
 
     for (double anh_mhz : {-200.0, -300.0, -400.0}) {

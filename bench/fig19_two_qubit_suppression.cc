@@ -17,14 +17,13 @@ main()
                   "two-qubit Rzx(pi/2) crosstalk suppression");
     const double intra = khz(200.0);
 
-    const auto provider = core::defaultPulseProvider();
     const pulse::PulseProgram gauss =
         pulse::PulseLibrary::gaussian().get(pulse::PulseGate::RZX);
     const pulse::PulseProgram octl =
-        provider->library(core::PulseMethod::OptCtrl)
+        core::getPulseLibraryShared(core::PulseMethod::OptCtrl)
             ->get(pulse::PulseGate::RZX);
     const pulse::PulseProgram pert =
-        provider->library(core::PulseMethod::Pert)
+        core::getPulseLibraryShared(core::PulseMethod::Pert)
             ->get(pulse::PulseGate::RZX);
 
     {

@@ -34,17 +34,16 @@ int
 main()
 {
     bench::banner("Figure 28", "optimized Rx(pi/2) pulse shapes");
-    const auto provider = core::defaultPulseProvider();
     dump("OptCtrl",
-         provider->library(core::PulseMethod::OptCtrl)
+         core::getPulseLibraryShared(core::PulseMethod::OptCtrl)
              ->get(pulse::PulseGate::SX),
          1.0);
     dump("Pert",
-         provider->library(core::PulseMethod::Pert)
+         core::getPulseLibraryShared(core::PulseMethod::Pert)
              ->get(pulse::PulseGate::SX),
          1.0);
     dump("DCG",
-         provider->library(core::PulseMethod::DCG)
+         core::getPulseLibraryShared(core::PulseMethod::DCG)
              ->get(pulse::PulseGate::SX),
          2.0);
     std::cout << "Expected shape: smooth ~tens-of-MHz envelopes for"

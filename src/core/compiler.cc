@@ -8,6 +8,7 @@
 #include "circuit/decompose.h"
 #include "common/error.h"
 #include "common/parallel.h"
+#include "core/cycle_sched.h"
 
 namespace qzz::core {
 
@@ -23,114 +24,7 @@ millisecondsSince(Clock::time_point start)
         .count();
 }
 
-/** Per-device tables shared by every ZzxScheduler::schedule() call. */
-struct ZzxTablesState final : SchedulerState
-{
-    explicit ZzxTablesState(const dev::Device &dev) : tables(dev) {}
-    ZzxDeviceTables tables;
-};
-
-/** Per-device tables shared by every ExactScheduler::schedule() call. */
-struct ExactTablesState final : SchedulerState
-{
-    explicit ExactTablesState(const dev::Device &dev) : tables(dev) {}
-    ExactDeviceTables tables;
-};
-
 } // namespace
-
-// ---------------------------------------------------------------------------
-// Schedulers
-// ---------------------------------------------------------------------------
-
-Schedule
-ParScheduler::schedule(const ckt::QuantumCircuit &native,
-                       const dev::Device &dev,
-                       const GateDurations &durations,
-                       const SchedulerState *state) const
-{
-    (void)state;
-    return parSchedule(native, dev, durations);
-}
-
-std::shared_ptr<const SchedulerState>
-ZzxScheduler::prepare(const dev::Device &dev) const
-{
-    return std::make_shared<ZzxTablesState>(dev);
-}
-
-Schedule
-ZzxScheduler::schedule(const ckt::QuantumCircuit &native,
-                       const dev::Device &dev,
-                       const GateDurations &durations,
-                       const SchedulerState *state) const
-{
-    if (const auto *tables =
-            dynamic_cast<const ZzxTablesState *>(state))
-        return weighted_ ? zzxWeightedSchedule(native, dev, durations,
-                                               opt_, tables->tables)
-                         : zzxSchedule(native, dev, durations, opt_,
-                                       tables->tables);
-    return weighted_
-               ? zzxWeightedSchedule(native, dev, durations, opt_)
-               : zzxSchedule(native, dev, durations, opt_);
-}
-
-std::shared_ptr<const SchedulerState>
-ExactScheduler::prepare(const dev::Device &dev) const
-{
-    return std::make_shared<ExactTablesState>(dev);
-}
-
-Schedule
-ExactScheduler::schedule(const ckt::QuantumCircuit &native,
-                         const dev::Device &dev,
-                         const GateDurations &durations,
-                         const SchedulerState *state) const
-{
-    if (const auto *tables =
-            dynamic_cast<const ExactTablesState *>(state))
-        return exactSchedule(native, dev, durations, opt_,
-                             ExactLimits{}, tables->tables);
-    return exactSchedule(native, dev, durations, opt_);
-}
-
-std::shared_ptr<const SchedulerState>
-CycleScheduler::prepare(const dev::Device &dev) const
-{
-    return std::make_shared<ZzxTablesState>(dev);
-}
-
-Schedule
-CycleScheduler::schedule(const ckt::QuantumCircuit &native,
-                         const dev::Device &dev,
-                         const GateDurations &durations,
-                         const SchedulerState *state) const
-{
-    if (const auto *tables =
-            dynamic_cast<const ZzxTablesState *>(state))
-        return cycleAwareSchedule(native, dev, durations, opt_,
-                                  tables->tables);
-    return cycleAwareSchedule(native, dev, durations, opt_);
-}
-
-std::shared_ptr<const Scheduler>
-makeScheduler(SchedPolicy policy, const ZzxOptions &zzx)
-{
-    switch (policy) {
-    case SchedPolicy::Par:
-        return std::make_shared<ParScheduler>();
-    case SchedPolicy::Zzx:
-    case SchedPolicy::ZzxWeighted:
-        return std::make_shared<ZzxScheduler>(
-            zzx, policy == SchedPolicy::ZzxWeighted);
-    case SchedPolicy::Exact:
-        return std::make_shared<ExactScheduler>(zzx);
-    case SchedPolicy::CycleAware:
-        return std::make_shared<CycleScheduler>(zzx);
-    }
-    panic("makeScheduler: unknown policy");
-}
 
 // ---------------------------------------------------------------------------
 // Pulse providers
@@ -140,12 +34,6 @@ std::shared_ptr<const pulse::PulseLibrary>
 CachedPulseProvider::library(PulseMethod method)
 {
     return getPulseLibraryShared(method);
-}
-
-std::shared_ptr<PulseProvider>
-defaultPulseProvider()
-{
-    return std::make_shared<CachedPulseProvider>();
 }
 
 // ---------------------------------------------------------------------------
@@ -232,6 +120,34 @@ lowerSegments(const std::vector<ckt::QuantumCircuit> &routed,
 }
 
 /**
+ * Layer one native segment with @p opt.sched's entry point, reusing
+ * the per-device tables CompilerBuilder::build() made for the policy.
+ */
+Schedule
+scheduleSegment(const ckt::QuantumCircuit &native, const dev::Device &dev,
+                const GateDurations &durations, const CompileOptions &opt,
+                const ZzxDeviceTables *zzx_tables,
+                const ExactDeviceTables *exact_tables)
+{
+    switch (opt.sched) {
+    case SchedPolicy::Par:
+        return parSchedule(native, dev, durations);
+    case SchedPolicy::Zzx:
+        return zzxSchedule(native, dev, durations, opt.zzx, *zzx_tables);
+    case SchedPolicy::ZzxWeighted:
+        return zzxWeightedSchedule(native, dev, durations, opt.zzx,
+                                   *zzx_tables);
+    case SchedPolicy::Exact:
+        return exactSchedule(native, dev, durations, opt.zzx,
+                             ExactLimits{}, *exact_tables);
+    case SchedPolicy::CycleAware:
+        return cycleAwareSchedule(native, dev, durations,
+                                  CycleOptions{opt.zzx}, *zzx_tables);
+    }
+    panic("schedule: unknown policy");
+}
+
+/**
  * Attach the provider's library to @p out (once) and derive the gate
  * durations from it.  False — with the status set — when the provider
  * has no library to give.
@@ -278,12 +194,14 @@ BatchResult::allOk() const
 }
 
 Compiler::Compiler(dev::Device device, CompileOptions options,
-                   std::shared_ptr<const Scheduler> scheduler,
+                   std::shared_ptr<const ZzxDeviceTables> zzx_tables,
+                   std::shared_ptr<const ExactDeviceTables> exact_tables,
                    std::shared_ptr<PulseProvider> provider)
     : device_(std::move(device)), options_(options),
-      scheduler_(std::move(scheduler)), provider_(std::move(provider))
+      zzx_tables_(std::move(zzx_tables)),
+      exact_tables_(std::move(exact_tables)),
+      provider_(std::move(provider))
 {
-    scheduler_state_ = scheduler_->prepare(device_);
 }
 
 CompileResult
@@ -329,8 +247,9 @@ Compiler::compileSegments(
         Schedule &schedule = out.program.schedule;
         schedule.num_qubits = device_.numQubits();
         for (const ckt::QuantumCircuit &segment : native) {
-            Schedule part = scheduler_->schedule(
-                segment, device_, durations, scheduler_state_.get());
+            Schedule part =
+                scheduleSegment(segment, device_, durations, options_,
+                                zzx_tables_.get(), exact_tables_.get());
             for (Layer &layer : part.layers)
                 schedule.layers.push_back(std::move(layer));
         }
@@ -419,13 +338,6 @@ CompilerBuilder::schedPolicy(SchedPolicy p)
 }
 
 CompilerBuilder &
-CompilerBuilder::scheduler(std::shared_ptr<const Scheduler> s)
-{
-    scheduler_ = std::move(s);
-    return *this;
-}
-
-CompilerBuilder &
 CompilerBuilder::pulseProvider(std::shared_ptr<PulseProvider> p)
 {
     provider_ = std::move(p);
@@ -435,13 +347,24 @@ CompilerBuilder::pulseProvider(std::shared_ptr<PulseProvider> p)
 Compiler
 CompilerBuilder::build() const
 {
-    std::shared_ptr<const Scheduler> scheduler =
-        scheduler_ ? scheduler_
-                   : makeScheduler(options_.sched, options_.zzx);
+    std::shared_ptr<const ZzxDeviceTables> zzx_tables;
+    std::shared_ptr<const ExactDeviceTables> exact_tables;
+    switch (options_.sched) {
+    case SchedPolicy::Par:
+        break;
+    case SchedPolicy::Zzx:
+    case SchedPolicy::ZzxWeighted:
+    case SchedPolicy::CycleAware:
+        zzx_tables = std::make_shared<const ZzxDeviceTables>(device_);
+        break;
+    case SchedPolicy::Exact:
+        exact_tables = std::make_shared<const ExactDeviceTables>(device_);
+        break;
+    }
     std::shared_ptr<PulseProvider> provider =
-        provider_ ? provider_ : defaultPulseProvider();
-    return Compiler(device_, options_, std::move(scheduler),
-                    std::move(provider));
+        provider_ ? provider_ : std::make_shared<CachedPulseProvider>();
+    return Compiler(device_, options_, std::move(zzx_tables),
+                    std::move(exact_tables), std::move(provider));
 }
 
 } // namespace qzz::core

@@ -6,17 +6,20 @@
  *  route     route every segment to the topology, threading the
  *            qubit layout from one segment to the next;
  *  lower     decompose to the native gate set;
- *  schedule  layer the native circuit with the configured Scheduler;
+ *  schedule  layer the native circuit with the SchedPolicy's entry
+ *            point (parSchedule(), zzxSchedule(), zzxWeightedSchedule(),
+ *            exactSchedule() or cycleAwareSchedule());
  *  pulses    attach the pulse library to the program.
  *
- * Two seams select what the stages use without touching them:
+ * CompilerBuilder::build() makes the per-device tables the policy
+ * needs once (ZzxDeviceTables for Zzx, ZzxWeighted and CycleAware,
+ * ExactDeviceTables for Exact, none for Par), and every compile of the
+ * Compiler reuses them.
  *
- *  - Scheduler       the scheduling policy (ParScheduler, ZzxScheduler,
- *                    ExactScheduler, CycleScheduler; makeScheduler()
- *                    maps a SchedPolicy onto one).
- *  - PulseProvider   the pulse-library source, with shared ownership
- *                    (the process-wide calibration cache, or a fixed
- *                    injected library, e.g. a DD-substituted one).
+ * One seam selects what a stage uses without touching it: the
+ * PulseProvider, the pulse-library source with shared ownership (the
+ * process-wide calibration cache, or a fixed injected library, e.g. a
+ * DD-substituted one).
  *
  * A compile does not throw: a failure lands on CompileResult::status,
  * named by the stage that failed, and every stage that ran records its
@@ -26,7 +29,7 @@
  * A Compiler is immutable after CompilerBuilder::build() and safe to
  * share across threads: compileBatch() compiles many circuits on a
  * small thread pool while sharing the device routing tables, the
- * scheduler state and the pulse library.
+ * scheduling tables and the pulse library.
  */
 
 #ifndef QZZ_CORE_COMPILER_H
@@ -36,7 +39,6 @@
 #include <string>
 #include <vector>
 
-#include "core/cycle_sched.h"
 #include "core/exact_sched.h"
 #include "core/framework.h"
 
@@ -108,163 +110,6 @@ struct CompileStatus
 };
 
 // ---------------------------------------------------------------------------
-// Scheduler interface
-// ---------------------------------------------------------------------------
-
-/**
- * Opaque per-device state prepared once per Compiler and reused by
- * every compile (and every batch worker).  Implementations must be
- * immutable after prepare() so they can be shared across threads.
- */
-class SchedulerState
-{
-  public:
-    virtual ~SchedulerState() = default;
-};
-
-/**
- * A scheduling policy.  Implementations must be stateless with
- * respect to individual compilations: schedule() is const and may be
- * called concurrently from compileBatch() workers.
- */
-class Scheduler
-{
-  public:
-    virtual ~Scheduler() = default;
-
-    /** Display name, e.g. "ParSched" / "ZZXSched". */
-    virtual std::string name() const = 0;
-
-    /**
-     * Precompute per-device tables (all-pairs distances, suppression
-     * solver, ...) shared by every subsequent schedule() call.  May
-     * return nullptr when the policy needs none.
-     */
-    virtual std::shared_ptr<const SchedulerState>
-    prepare(const dev::Device &dev) const
-    {
-        (void)dev;
-        return nullptr;
-    }
-
-    /**
-     * Layer a native circuit.
-     *
-     * @param native    native-gate circuit over the device's qubits.
-     * @param dev       target device.
-     * @param durations per-gate durations from the pulse library.
-     * @param state     the result of prepare() for @p dev (may be
-     *                  nullptr when called outside a Compiler).
-     */
-    virtual Schedule schedule(const ckt::QuantumCircuit &native,
-                              const dev::Device &dev,
-                              const GateDurations &durations,
-                              const SchedulerState *state) const = 0;
-};
-
-/** ASAP maximal-parallelism baseline (wraps parSchedule()). */
-class ParScheduler final : public Scheduler
-{
-  public:
-    std::string name() const override { return "ParSched"; }
-    Schedule schedule(const ckt::QuantumCircuit &native,
-                      const dev::Device &dev,
-                      const GateDurations &durations,
-                      const SchedulerState *state) const override;
-};
-
-/**
- * The paper's ZZ-aware scheduler (wraps zzxSchedule()), optionally in
- * its calibration-weighted variant (SchedPolicy::ZzxWeighted, wraps
- * zzxWeightedSchedule()): the weighted flag swaps the suppression
- * objective to calibrated residual ZZ with the classic order as
- * tie-break, so uniform snapshots schedule bit-identically.
- */
-class ZzxScheduler final : public Scheduler
-{
-  public:
-    explicit ZzxScheduler(ZzxOptions opt = {}, bool weighted = false)
-        : opt_(opt), weighted_(weighted)
-    {
-    }
-
-    std::string name() const override
-    {
-        return weighted_ ? "ZzxWeighted" : "ZZXSched";
-    }
-    /** Builds the shared ZzxDeviceTables (distances + solver + ZZ). */
-    std::shared_ptr<const SchedulerState>
-    prepare(const dev::Device &dev) const override;
-    Schedule schedule(const ckt::QuantumCircuit &native,
-                      const dev::Device &dev,
-                      const GateDurations &durations,
-                      const SchedulerState *state) const override;
-
-    const ZzxOptions &options() const { return opt_; }
-    bool weighted() const { return weighted_; }
-
-  private:
-    ZzxOptions opt_;
-    bool weighted_ = false;
-};
-
-/**
- * Solver-optimal baseline (SchedPolicy::Exact, wraps exactSchedule()):
- * every layer cut comes from the branch-and-bound ExactCutSolver.
- * Exponential worst case — meant for the small devices where the
- * heuristics are benchmarked against it.
- */
-class ExactScheduler final : public Scheduler
-{
-  public:
-    explicit ExactScheduler(ZzxOptions opt = {}) : opt_(opt) {}
-
-    std::string name() const override { return "ExactSched"; }
-    /** Builds the shared ExactDeviceTables (distances + solver + ZZ). */
-    std::shared_ptr<const SchedulerState>
-    prepare(const dev::Device &dev) const override;
-    Schedule schedule(const ckt::QuantumCircuit &native,
-                      const dev::Device &dev,
-                      const GateDurations &durations,
-                      const SchedulerState *state) const override;
-
-    const ZzxOptions &options() const { return opt_; }
-
-  private:
-    ZzxOptions opt_;
-};
-
-/**
- * Cycle-aware policy (SchedPolicy::CycleAware, wraps
- * cycleAwareSchedule()): the calibration-weighted search with per-edge
- * accumulated-ZZ state carried across layer boundaries.
- */
-class CycleScheduler final : public Scheduler
-{
-  public:
-    explicit CycleScheduler(ZzxOptions opt = {}) { opt_.zzx = opt; }
-    explicit CycleScheduler(CycleOptions opt) : opt_(opt) {}
-
-    std::string name() const override { return "CycleAware"; }
-    /** Builds the shared ZzxDeviceTables (distances + solver + ZZ). */
-    std::shared_ptr<const SchedulerState>
-    prepare(const dev::Device &dev) const override;
-    Schedule schedule(const ckt::QuantumCircuit &native,
-                      const dev::Device &dev,
-                      const GateDurations &durations,
-                      const SchedulerState *state) const override;
-
-    const CycleOptions &options() const { return opt_; }
-
-  private:
-    CycleOptions opt_;
-};
-
-/** Scheduler implementing a SchedPolicy enum value. */
-std::shared_ptr<const Scheduler> makeScheduler(SchedPolicy policy,
-                                               const ZzxOptions &zzx = {});
-
-// ---------------------------------------------------------------------------
 // Pulse providers
 // ---------------------------------------------------------------------------
 
@@ -326,9 +171,6 @@ class FixedPulseProvider final : public PulseProvider
     std::shared_ptr<const pulse::PulseLibrary> lib_;
 };
 
-/** A fresh CachedPulseProvider. */
-std::shared_ptr<PulseProvider> defaultPulseProvider();
-
 // ---------------------------------------------------------------------------
 // Compiler
 // ---------------------------------------------------------------------------
@@ -377,8 +219,8 @@ struct BatchResult
 /**
  * The four-stage pipeline bound to one device and one configuration.
  * Built by CompilerBuilder; immutable and safe to share across
- * threads.  Per-device tables (scheduler state) are precomputed at
- * build time and reused by every compile.
+ * threads.  The per-device scheduling tables are precomputed at build
+ * time and reused by every compile.
  */
 class Compiler
 {
@@ -397,7 +239,7 @@ class Compiler
 
     /**
      * Compile @p circuits concurrently on a thread pool.  Routing
-     * tables, scheduler state and the pulse library are shared; each
+     * tables, scheduling tables and the pulse library are shared; each
      * circuit compiles with its own working state, and results land in
      * input order.  Output is identical to calling compile() sequentially.
      */
@@ -407,18 +249,20 @@ class Compiler
 
     const dev::Device &device() const { return device_; }
     const CompileOptions &options() const { return options_; }
-    const Scheduler &scheduler() const { return *scheduler_; }
 
   private:
     friend class CompilerBuilder;
     Compiler(dev::Device device, CompileOptions options,
-             std::shared_ptr<const Scheduler> scheduler,
+             std::shared_ptr<const ZzxDeviceTables> zzx_tables,
+             std::shared_ptr<const ExactDeviceTables> exact_tables,
              std::shared_ptr<PulseProvider> provider);
 
     dev::Device device_;
     CompileOptions options_;
-    std::shared_ptr<const Scheduler> scheduler_;
-    std::shared_ptr<const SchedulerState> scheduler_state_;
+    /** Set for Zzx, ZzxWeighted and CycleAware; null otherwise. */
+    std::shared_ptr<const ZzxDeviceTables> zzx_tables_;
+    /** Set for Exact; null otherwise. */
+    std::shared_ptr<const ExactDeviceTables> exact_tables_;
     std::shared_ptr<PulseProvider> provider_;
 };
 
@@ -433,8 +277,7 @@ class Compiler
  *   core::CompileResult r = c.compile(circuit);
  * @endcode
  *
- * A custom Scheduler / PulseProvider overrides the enum-selected
- * default.
+ * A custom PulseProvider overrides the pulseMethod() lookup.
  */
 class CompilerBuilder
 {
@@ -449,18 +292,16 @@ class CompilerBuilder
     CompilerBuilder &pulseMethod(PulseMethod m);
     CompilerBuilder &schedPolicy(SchedPolicy p);
 
-    /** Inject a scheduling policy (overrides schedPolicy()). */
-    CompilerBuilder &scheduler(std::shared_ptr<const Scheduler> s);
     /** Inject a pulse source (overrides pulseMethod() lookup). */
     CompilerBuilder &pulseProvider(std::shared_ptr<PulseProvider> p);
 
-    /** Assemble the Compiler (precomputes per-device tables). */
+    /** Assemble the Compiler (builds the per-device tables its
+     *  SchedPolicy needs). */
     Compiler build() const;
 
   private:
     dev::Device device_;
     CompileOptions options_;
-    std::shared_ptr<const Scheduler> scheduler_;
     std::shared_ptr<PulseProvider> provider_;
 };
 

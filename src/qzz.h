@@ -25,8 +25,9 @@
  *    the failing stage); core::unwrapOrThrow() turns a failure into
  *    UserError / InternalError for callers that want a throw;
  *  - result.diagnostics carries per-stage wall times and NC/NQ stats;
- *  - the scheduling policy (core::Scheduler) and the pulse source
- *    (core::PulseProvider) are injectable, and CompiledProgram owns
+ *  - the SchedPolicy picks the scheduling entry point, whose
+ *    per-device tables build() makes once; the pulse source
+ *    (core::PulseProvider) is injectable, and CompiledProgram owns
  *    its pulse library via shared_ptr;
  *  - compileBatch() compiles many circuits across a thread pool while
  *    sharing routing tables and pulse libraries.

@@ -852,15 +852,33 @@ Server::serve(Transport &transport)
             transport.shutdown();
     });
 
-    std::vector<std::thread> sessions;
+    // A session flags itself done as its last act, and each accept
+    // first joins the finished ones: a long-lived daemon holds one
+    // thread (and its stack mapping) per open connection, not one per
+    // connection it ever served.
+    struct SessionThread
+    {
+        std::shared_ptr<std::atomic<bool>> done;
+        std::thread thread;
+    };
+    std::vector<SessionThread> sessions;
     while (auto conn = transport.accept()) {
-        sessions.emplace_back(
-            [this, c = std::shared_ptr<Connection>(std::move(conn))] {
+        std::erase_if(sessions, [](SessionThread &s) {
+            if (!s.done->load(std::memory_order_acquire))
+                return false;
+            s.thread.join();
+            return true;
+        });
+        auto done = std::make_shared<std::atomic<bool>>(false);
+        std::thread thread(
+            [this, done, c = std::shared_ptr<Connection>(std::move(conn))] {
                 Session(*this, *c).run();
+                done->store(true, std::memory_order_release);
             });
+        sessions.push_back({std::move(done), std::move(thread)});
     }
-    for (std::thread &session : sessions)
-        session.join();
+    for (SessionThread &session : sessions)
+        session.thread.join();
 
     g_term_pipe_wr.store(-1);
     ::sigaction(SIGTERM, &old_term, nullptr);

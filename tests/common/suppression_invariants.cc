@@ -83,4 +83,31 @@ expectSuppressionInvariants(const core::Schedule &schedule,
     }
 }
 
+void
+expectSameSchedule(const core::Schedule &a, const core::Schedule &b,
+                   const std::string &context)
+{
+    EXPECT_EQ(a.num_qubits, b.num_qubits) << context;
+    ASSERT_EQ(a.layers.size(), b.layers.size()) << context;
+    for (size_t i = 0; i < a.layers.size(); ++i) {
+        const core::Layer &la = a.layers[i];
+        const core::Layer &lb = b.layers[i];
+        const std::string where = context + " layer " + std::to_string(i);
+        EXPECT_EQ(la.is_virtual, lb.is_virtual) << where;
+        EXPECT_EQ(la.duration, lb.duration) << where;
+        EXPECT_EQ(la.side, lb.side) << where;
+        EXPECT_EQ(la.metrics.nq, lb.metrics.nq) << where;
+        EXPECT_EQ(la.metrics.nc, lb.metrics.nc) << where;
+        ASSERT_EQ(la.gates.size(), lb.gates.size()) << where;
+        for (size_t g = 0; g < la.gates.size(); ++g) {
+            const core::ScheduledGate &ga = la.gates[g];
+            const core::ScheduledGate &gb = lb.gates[g];
+            EXPECT_EQ(ga.gate.kind, gb.gate.kind) << where;
+            EXPECT_EQ(ga.gate.qubits, gb.gate.qubits) << where;
+            EXPECT_EQ(ga.gate.params, gb.gate.params) << where;
+            EXPECT_EQ(ga.supplemented, gb.supplemented) << where;
+        }
+    }
+}
+
 } // namespace qzz::testsup

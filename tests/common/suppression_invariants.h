@@ -1,6 +1,7 @@
 /**
  * @file
- * Shared schedule-validity and suppression-invariant assertions.
+ * Shared schedule-validity, suppression-invariant and
+ * schedule-equality assertions.
  *
  * One checker used by the integration suites (topology_diversity),
  * the per-policy unit tests and the differential oracle fuzz — so the
@@ -49,6 +50,14 @@ void expectSuppressionInvariants(const core::Schedule &schedule,
                                  const dev::Device &device,
                                  const core::ZzxOptions &resolved,
                                  const std::string &context);
+
+/**
+ * Layer-by-layer equality of two schedules: qubit count, layer flags,
+ * durations, recorded cuts and metrics, and every gate (kind, qubits,
+ * parameters, supplemented flag).
+ */
+void expectSameSchedule(const core::Schedule &a, const core::Schedule &b,
+                        const std::string &context);
 
 } // namespace qzz::testsup
 

@@ -2,18 +2,20 @@
  * @file
  * Tests for the compiler (core/compiler.h): the builder, the
  * four-stage pipeline, the structured status channel, per-stage
- * diagnostics, and injectable schedulers / pulse providers.
+ * diagnostics, the per-policy schedule dispatch, and injectable pulse
+ * providers.
  */
 
 #include "core/compiler.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <stdexcept>
 
 #include "circuit/benchmarks.h"
+#include "common/suppression_invariants.h"
 #include "common/units.h"
+#include "core/cycle_sched.h"
 #include "core/dcg.h"
 #include "graph/topologies.h"
 #include "sim/ideal_sim.h"
@@ -166,43 +168,76 @@ TEST(CompilerTest, FixedPulseProviderInjectsLibrary)
     EXPECT_DOUBLE_EQ(result.program.schedule.executionTime(), 40.0);
 }
 
-TEST(CompilerTest, CustomSchedulerIsUsed)
+TEST(CompilerTest, EveryPolicyMatchesItsEntryPoint)
 {
-    /** A policy that simply delegates to ParSched but proves the
-     *  injection seam works. */
-    class CountingScheduler final : public Scheduler
-    {
-      public:
-        explicit CountingScheduler(std::atomic<int> &calls)
-            : calls_(calls)
-        {
+    // The schedule stage dispatches on SchedPolicy alone: for every
+    // policy, device shape and snapshot, the program's schedule is the
+    // policy's entry point applied to the program's native circuit
+    // with freshly built per-device tables.
+    const std::vector<std::pair<std::string, graph::Topology>> topologies =
+        {{"grid3x4", graph::gridTopology(3, 4)},
+         {"ring6", graph::ringTopology(6)}};
+    for (const auto &[topo_name, topo] : topologies) {
+        Rng rng(11);
+        const std::vector<std::pair<std::string, dev::Device>> devices = {
+            {"uniform",
+             dev::Device(topo, dev::Calibration::uniform(
+                                   topo, dev::DeviceParams{},
+                                   std::vector<double>(
+                                       size_t(topo.g.numEdges()),
+                                       khz(200.0))))},
+            {"jittered",
+             dev::Device(topo, dev::Calibration::sampled(
+                                   topo, dev::DeviceParams{}, rng))}};
+        const int n = topo.g.numVertices();
+        const ckt::QuantumCircuit circuit = ckt::googleRandom(n, 4, rng);
+        for (const auto &[calib_name, dev] : devices) {
+            for (SchedPolicy policy :
+                 {SchedPolicy::Par, SchedPolicy::Zzx,
+                  SchedPolicy::ZzxWeighted, SchedPolicy::Exact,
+                  SchedPolicy::CycleAware}) {
+                const std::string what = topo_name + "/" + calib_name +
+                                         "/" + schedPolicyName(policy);
+                Compiler compiler = CompilerBuilder(dev)
+                                        .pulseMethod(PulseMethod::Gaussian)
+                                        .schedPolicy(policy)
+                                        .build();
+                CompileResult result = compiler.compile(circuit);
+                ASSERT_TRUE(result.ok()) << what << ": "
+                                         << result.status.message;
+                const CompiledProgram &p = result.program;
+                const GateDurations durations =
+                    GateDurations::fromLibrary(*p.library);
+                const ZzxOptions &zzx = compiler.options().zzx;
+                Schedule direct;
+                switch (policy) {
+                case SchedPolicy::Par:
+                    direct = parSchedule(p.native, dev, durations);
+                    break;
+                case SchedPolicy::Zzx:
+                    direct = zzxSchedule(p.native, dev, durations, zzx,
+                                         ZzxDeviceTables(dev));
+                    break;
+                case SchedPolicy::ZzxWeighted:
+                    direct = zzxWeightedSchedule(p.native, dev, durations,
+                                                 zzx, ZzxDeviceTables(dev));
+                    break;
+                case SchedPolicy::Exact:
+                    direct = exactSchedule(p.native, dev, durations, zzx,
+                                           ExactLimits{},
+                                           ExactDeviceTables(dev));
+                    break;
+                case SchedPolicy::CycleAware:
+                    direct = cycleAwareSchedule(p.native, dev, durations,
+                                                CycleOptions{zzx},
+                                                ZzxDeviceTables(dev));
+                    break;
+                }
+                ASSERT_FALSE(direct.layers.empty()) << what;
+                testsup::expectSameSchedule(p.schedule, direct, what);
+            }
         }
-        std::string name() const override { return "Counting"; }
-        Schedule
-        schedule(const ckt::QuantumCircuit &native,
-                 const dev::Device &dev, const GateDurations &durations,
-                 const SchedulerState *state) const override
-        {
-            (void)state;
-            calls_.fetch_add(1);
-            return parSchedule(native, dev, durations);
-        }
-
-      private:
-        std::atomic<int> &calls_;
-    };
-
-    auto dev = device23();
-    std::atomic<int> calls{0};
-    Compiler compiler =
-        CompilerBuilder(dev)
-            .pulseMethod(PulseMethod::Gaussian)
-            .scheduler(std::make_shared<CountingScheduler>(calls))
-            .build();
-    EXPECT_EQ(compiler.scheduler().name(), "Counting");
-    CompileResult result = compiler.compile(testCircuit());
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(calls.load(), 1);
+    }
 }
 
 TEST(CompilerTest, ForeignExceptionsLandOnStatusChannel)

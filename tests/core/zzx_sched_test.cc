@@ -6,6 +6,7 @@
 
 #include "circuit/decompose.h"
 #include "common/error.h"
+#include "common/suppression_invariants.h"
 #include "circuit/router.h"
 #include "common/units.h"
 #include "core/par_sched.h"
@@ -230,27 +231,6 @@ TEST(ZzxSchedTest, DeterministicAcrossRuns)
         EXPECT_EQ(s1.layers[i].gates.size(), s2.layers[i].gates.size());
 }
 
-/** Layer-by-layer structural equality of two schedules. */
-void
-expectSameSchedule(const Schedule &a, const Schedule &b)
-{
-    ASSERT_EQ(a.layers.size(), b.layers.size());
-    for (size_t i = 0; i < a.layers.size(); ++i) {
-        const Layer &la = a.layers[i];
-        const Layer &lb = b.layers[i];
-        EXPECT_EQ(la.is_virtual, lb.is_virtual) << "layer " << i;
-        EXPECT_EQ(la.side, lb.side) << "layer " << i;
-        EXPECT_EQ(la.metrics.nc, lb.metrics.nc) << "layer " << i;
-        EXPECT_EQ(la.metrics.nq, lb.metrics.nq) << "layer " << i;
-        ASSERT_EQ(la.gates.size(), lb.gates.size()) << "layer " << i;
-        for (size_t g = 0; g < la.gates.size(); ++g) {
-            EXPECT_EQ(la.gates[g].gate.kind, lb.gates[g].gate.kind);
-            EXPECT_EQ(la.gates[g].gate.qubits, lb.gates[g].gate.qubits);
-            EXPECT_EQ(la.gates[g].supplemented, lb.gates[g].supplemented);
-        }
-    }
-}
-
 TEST(ZzxSchedTest, WeightedMatchesClassicOnUniformSnapshot)
 {
     // Uniform snapshot: every per-edge weight normalizes to exactly
@@ -276,7 +256,7 @@ TEST(ZzxSchedTest, WeightedMatchesClassicOnUniformSnapshot)
         zzxSchedule(c, dev, GateDurations{}, {}, tables);
     const Schedule weighted =
         zzxWeightedSchedule(c, dev, GateDurations{}, {}, tables);
-    expectSameSchedule(classic, weighted);
+    testsup::expectSameSchedule(classic, weighted, "uniform trigrid");
 }
 
 TEST(ZzxSchedTest, WeightedSteersResidualOntoWeakCouplers)
@@ -345,7 +325,7 @@ TEST(ZzxSchedTest, WeightedUsesRateMagnitudes)
         zzxWeightedSchedule(c, dev_pos, GateDurations{}, {}, tables_pos);
     const Schedule wneg =
         zzxWeightedSchedule(c, dev_neg, GateDurations{}, {}, tables_neg);
-    expectSameSchedule(wpos, wneg);
+    testsup::expectSameSchedule(wpos, wneg, "sign flip");
     for (const Layer &l : wneg.layers)
         if (!l.is_virtual) {
             EXPECT_EQ(l.metrics.unsuppressed_edge[strong_edge], 0);

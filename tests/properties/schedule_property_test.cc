@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "circuit/decompose.h"
 #include "circuit/router.h"
 #include "common/rng.h"
@@ -21,13 +23,21 @@
 namespace qzz::core {
 namespace {
 
+/**
+ * One random instance.  gtest prints a parameter that has no PrintTo
+ * as its raw bytes, and those bytes are part of the ctest ID, so the
+ * struct must have no padding: with an int gate count, four
+ * uninitialized bytes made the IDs differ between builds.
+ */
 struct Case
 {
     uint64_t seed;
     int rows;
     int cols;
-    int gates;
+    uint64_t gates;
 };
+static_assert(std::has_unique_object_representations_v<Case>,
+              "padding bytes would leak into the test IDs");
 
 class SchedulePropertyTest : public ::testing::TestWithParam<Case>
 {
@@ -70,7 +80,7 @@ TEST_P(SchedulePropertyTest, InvariantsHold)
     auto topo = graph::gridTopology(cfg.rows, cfg.cols);
     dev::Device device(topo, dev::DeviceParams{}, rng);
 
-    ckt::QuantumCircuit logical = randomCircuit(n, cfg.gates, rng);
+    ckt::QuantumCircuit logical = randomCircuit(n, int(cfg.gates), rng);
     ckt::QuantumCircuit native = ckt::decomposeToNative(
         ckt::routeCircuit(logical, device.graph()).circuit);
 

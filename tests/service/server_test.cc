@@ -3,7 +3,8 @@
  * Serving front-end tests: the Session wire protocol driven directly
  * over in-process streams (no sockets, no child process), plus
  * SocketTransport behavior — concurrent clients, per-session quit,
- * idle timeout, and the overlong-line bound.
+ * idle timeout, the overlong-line bound, and the reaping of finished
+ * session threads.
  *
  * Error lines are asserted byte-exactly: they are the stdio daemon's
  * historical responses and must never drift.  Success lines embed
@@ -15,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -24,6 +26,7 @@
 
 #include <arpa/inet.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include "common/error.h"
@@ -515,6 +518,77 @@ TEST(SocketTransportTest, UnixListenerRoundTripsAndUnlinksItsPath)
         EXPECT_EQ(transport.accept(), nullptr);
     }
     EXPECT_FALSE(fs::exists(path)); // destructor unlinks
+}
+
+int
+connectUnix(const std::string &path)
+{
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0)
+        return -1;
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s",
+                  path.c_str());
+    if (::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                  sizeof(addr)) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+/** Lines of /proc/self/maps: one per mapping of this process. */
+int
+mappingCount()
+{
+    std::ifstream maps("/proc/self/maps");
+    int n = 0;
+    for (std::string line; std::getline(maps, line);)
+        ++n;
+    return n;
+}
+
+TEST(SocketTransportTest, FinishedSessionThreadsAreReaped)
+{
+    // Every session runs on its own thread, whose stack stays mapped
+    // until the thread is joined; serve() must join finished sessions
+    // as it goes, not only at shutdown, or a long-lived daemon keeps
+    // one stack per connection it ever served.
+    const std::string path =
+        (fs::temp_directory_path() /
+         ("qzz_reap_test_" + std::to_string(::getpid()) + ".sock"))
+            .string();
+    fs::remove(path);
+    SocketTransportConfig tc;
+    tc.listen = "unix:" + path;
+    SocketTransport transport(tc);
+
+    ServerConfig config;
+    config.workers = 1;
+    Server server(config);
+    std::thread serving([&] { server.serve(transport); });
+
+    const auto quitSession = [&] {
+        const int fd = connectUnix(path);
+        ASSERT_GE(fd, 0);
+        ASSERT_TRUE(sendAll(fd, "{\"cmd\":\"quit\"}\n"));
+        EXPECT_EQ(recvLine(fd), ""); // the session closed the socket
+        ::close(fd);
+    };
+    // Warm up, so thread-stack caches and lazily mapped state exist
+    // before the baseline is taken.
+    for (int i = 0; i < 10; ++i)
+        quitSession();
+    const int before = mappingCount();
+    for (int i = 0; i < 200; ++i)
+        quitSession();
+    const int after = mappingCount();
+    EXPECT_LE(after - before, 16)
+        << before << " mappings grew to " << after;
+
+    transport.shutdown();
+    serving.join();
 }
 
 TEST(SocketTransportTest, RejectsMalformedListenSpecs)
