@@ -246,7 +246,7 @@ writeProgramArtifact(const core::CompiledProgram &program, std::ostream *os)
     return bytes;
 }
 
-uint64_t
+std::optional<uint64_t>
 readArtifactCalibEpoch(std::istream &is)
 {
     // The header members come first and are short: a prefix holds
@@ -256,7 +256,9 @@ readArtifactCalibEpoch(std::istream &is)
     head.resize(size_t(is.gcount()));
     json::Cursor c(head);
     core::CompiledProgram header;
-    return readHeader(c, header) ? header.calib_epoch : 0;
+    if (!readHeader(c, header))
+        return std::nullopt;
+    return header.calib_epoch;
 }
 
 std::optional<core::CompiledProgram>

@@ -68,8 +68,9 @@ std::optional<core::CompiledProgram>
 readProgramArtifact(std::istream &is, bool attach_library = true);
 
 /** The calib_epoch an artifact records, reading only the leading
- *  header members; 0 when they are unreadable or of another version. */
-uint64_t readArtifactCalibEpoch(std::istream &is);
+ *  header members; nullopt when they are unreadable or of another
+ *  version. */
+std::optional<uint64_t> readArtifactCalibEpoch(std::istream &is);
 
 } // namespace qzz::svc
 

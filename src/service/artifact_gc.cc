@@ -1,18 +1,18 @@
 #include "service/artifact_gc.h"
 
 #include <algorithm>
-#include <filesystem>
 #include <fstream>
+#include <optional>
 #include <system_error>
-#include <unordered_map>
+#include <tuple>
+#include <vector>
 
 #include <fcntl.h>
 #include <sys/file.h>
 #include <unistd.h>
 
-#include "common/json.h"
 #include "service/artifact.h"
-#include "service/jsonl.h"
+#include "service/trace.h"
 
 namespace qzz::svc {
 
@@ -20,27 +20,44 @@ namespace fs = std::filesystem;
 
 namespace {
 
-fs::path
-manifestPath(const std::string &dir)
+/**
+ * RAII advisory exclusive flock on an artifact directory's lock file
+ * (blocking).  The file keeps the name manifest.lock, which daemons
+ * of older builds (which kept a manifest index beside the artifacts)
+ * lock too, so their passes and appends still serialize against this
+ * build's passes over a shared directory.  A lock that cannot be
+ * taken degrades to best effort: deletions stay safe (remove
+ * tolerates a concurrent unlink).
+ */
+class ArtifactDirLock
 {
-    return fs::path(dir) / "manifest.jsonl";
-}
+  public:
+    explicit ArtifactDirLock(const std::string &dir)
+    {
+        fd_ = ::open((fs::path(dir) / "manifest.lock").c_str(),
+                     O_CREAT | O_RDWR | O_CLOEXEC, 0644);
+        if (fd_ >= 0 && ::flock(fd_, LOCK_EX) != 0) {
+            ::close(fd_);
+            fd_ = -1;
+        }
+    }
+    ~ArtifactDirLock()
+    {
+        if (fd_ >= 0) {
+            ::flock(fd_, LOCK_UN);
+            ::close(fd_);
+        }
+    }
 
-fs::path
-lockPath(const std::string &dir)
-{
-    return fs::path(dir) / "manifest.lock";
-}
+    ArtifactDirLock(const ArtifactDirLock &) = delete;
+    ArtifactDirLock &operator=(const ArtifactDirLock &) = delete;
 
-int64_t
-nowMs()
-{
-    return std::chrono::duration_cast<std::chrono::milliseconds>(
-               std::chrono::system_clock::now().time_since_epoch())
-        .count();
-}
+  private:
+    int fd_ = -1;
+};
 
-/** File mtime as milliseconds since the Unix epoch; 0 on error. */
+} // namespace
+
 int64_t
 fileMtimeMs(const fs::path &path)
 {
@@ -50,8 +67,8 @@ fileMtimeMs(const fs::path &path)
         return 0;
     // Portable file_clock -> system_clock conversion (clock_cast is
     // not in this libstdc++): rebase by the distance between the two
-    // clocks' nows.  Millisecond-exact is not needed — the GC only
-    // orders artifacts relative to each other.
+    // clocks' nows.  Millisecond-exact is not needed — callers only
+    // order files relative to each other or to now.
     const auto sys = std::chrono::system_clock::now() +
                      std::chrono::duration_cast<
                          std::chrono::system_clock::duration>(
@@ -59,122 +76,6 @@ fileMtimeMs(const fs::path &path)
     return std::chrono::duration_cast<std::chrono::milliseconds>(
                sys.time_since_epoch())
         .count();
-}
-
-std::string
-manifestLine(const ManifestEntry &e)
-{
-    std::string line;
-    json::Writer(line)
-        .beginObject()
-        .field("fp", e.fp.hex())
-        .field("bytes", e.bytes)
-        .field("mtime_ms", e.mtime_ms)
-        .field("calib_epoch", e.calib_epoch)
-        .endObject();
-    return line + '\n';
-}
-
-std::string
-manifestHeader()
-{
-    std::string line;
-    json::Writer(line)
-        .beginObject()
-        .field("qzz_manifest", kManifestVersion)
-        .endObject();
-    return line + '\n';
-}
-
-} // namespace
-
-// ---------------------------------------------------------------------------
-// Locking + manifest I/O
-// ---------------------------------------------------------------------------
-
-ArtifactDirLock::ArtifactDirLock(const std::string &dir)
-{
-    std::error_code ec;
-    fs::create_directories(dir, ec);
-    if (ec)
-        return;
-    const int fd =
-        ::open(lockPath(dir).c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
-    if (fd < 0)
-        return;
-    if (::flock(fd, LOCK_EX) != 0) {
-        ::close(fd);
-        return;
-    }
-    fd_ = fd;
-}
-
-ArtifactDirLock::~ArtifactDirLock()
-{
-    if (fd_ >= 0) {
-        ::flock(fd_, LOCK_UN);
-        ::close(fd_);
-    }
-}
-
-bool
-appendManifestEntry(const std::string &dir, const ManifestEntry &e)
-{
-    ArtifactDirLock lock(dir);
-    if (!lock.ok())
-        return false;
-    const fs::path path = manifestPath(dir);
-    std::error_code ec;
-    const bool fresh = !fs::exists(path, ec) || fs::file_size(path, ec) == 0;
-    std::ofstream out(path, std::ios::app);
-    if (!out)
-        return false;
-    if (fresh)
-        out << manifestHeader();
-    out << manifestLine(e);
-    out.flush();
-    return out.good();
-}
-
-std::vector<ManifestEntry>
-readManifest(const std::string &dir)
-{
-    std::vector<ManifestEntry> entries;
-    std::ifstream in(manifestPath(dir));
-    if (!in)
-        return entries;
-    std::string line;
-    bool header_ok = false;
-    while (std::getline(in, line)) {
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;
-        const auto obj = JsonObject::parse(line);
-        if (!obj)
-            continue; // a torn append tail reads as absent, never fatal
-        if (!header_ok) {
-            // First parseable line must be a matching version header;
-            // otherwise the whole file is treated as absent and the
-            // next GC pass rebuilds it from the directory scan.
-            const auto version = obj->getInt("qzz_manifest");
-            if (!version || *version != kManifestVersion)
-                return {};
-            header_ok = true;
-            continue;
-        }
-        const auto fp_hex = obj->getString("fp");
-        const auto bytes = obj->getInt("bytes");
-        const auto mtime = obj->getInt("mtime_ms");
-        const auto epoch = obj->getInt("calib_epoch");
-        if (!fp_hex || !bytes || !mtime || !epoch || *bytes < 0 ||
-            *epoch < 0)
-            continue;
-        const auto fp = Fingerprint::fromHex(*fp_hex);
-        if (!fp)
-            continue;
-        entries.push_back(
-            {*fp, uint64_t(*bytes), *mtime, uint64_t(*epoch)});
-    }
-    return entries;
 }
 
 // ---------------------------------------------------------------------------
@@ -227,33 +128,36 @@ ArtifactGc::directoryBytes() const
 ArtifactGcStats
 ArtifactGc::run()
 {
+    std::lock_guard<std::mutex> pass(pass_mu_);
+    return runLocked();
+}
+
+ArtifactGcStats
+ArtifactGc::runLocked()
+{
     ArtifactGcStats stats;
     std::error_code ec;
     if (!fs::is_directory(dir_, ec) || ec)
         return stats;
 
-    // The lock serializes this pass against manifest appends and GC
-    // passes in every process sharing the directory.  A failed lock
-    // degrades to best effort: deletions stay safe (remove tolerates
-    // a concurrent unlink) and a lost manifest append is re-adopted
-    // by the next pass.
-    ArtifactDirLock lock(dir_);
+    // Serializes this pass against the passes of every other process
+    // sharing the directory.
+    const ArtifactDirLock lock(dir_);
 
     struct Item
     {
-        ManifestEntry entry;
-        bool present = false;
+        Fingerprint fp;
+        uint64_t bytes = 0;
+        int64_t mtime_ms = 0;
+        uint64_t calib_epoch = 0;
         bool evict = false;
     };
-    std::unordered_map<std::string, Item> items;
-    for (const ManifestEntry &e : readManifest(dir_)) {
-        ++stats.manifest_entries;
-        items[e.fp.hex()].entry = e; // last append wins
-    }
-
-    // Reconcile with the directory: stat() is the authority on size
-    // and recency; the manifest's calib_epoch survives (the file
-    // header is only parsed for adopted strays).
+    std::vector<Item> items;
+    // The memo is rebuilt from each scan, so it never outgrows the
+    // directory.  A header that does not parse counts as epoch 0 for
+    // this pass and is not remembered: a file rewritten in its place
+    // is read again.
+    std::unordered_map<Fingerprint, uint64_t, FingerprintHash> epochs;
     for (fs::directory_iterator it(dir_, ec), end; !ec && it != end;
          it.increment(ec)) {
         const fs::path &path = it->path();
@@ -266,105 +170,71 @@ ArtifactGc::run()
         const uint64_t bytes = fs::file_size(path, size_ec);
         if (size_ec)
             continue;
-        auto [slot, inserted] = items.try_emplace(fp->hex());
-        if (inserted) {
-            ++stats.adopted;
-            slot->second.entry.fp = *fp;
+        std::optional<uint64_t> epoch;
+        if (const auto memo = epochs_.find(*fp); memo != epochs_.end()) {
+            epoch = memo->second;
+        } else {
             std::ifstream artifact(path);
-            slot->second.entry.calib_epoch =
-                readArtifactCalibEpoch(artifact);
+            epoch = readArtifactCalibEpoch(artifact);
+            stats.adopted += epoch.has_value();
         }
-        slot->second.entry.bytes = bytes;
-        slot->second.entry.mtime_ms = fileMtimeMs(path);
-        slot->second.present = true;
-    }
-
-    std::vector<Item *> live;
-    for (auto &[hex, item] : items) {
-        if (!item.present) {
-            ++stats.dropped_lines;
-            continue;
-        }
+        if (epoch)
+            epochs.emplace(*fp, *epoch);
+        items.push_back({*fp, bytes, fileMtimeMs(path), epoch.value_or(0)});
         ++stats.scanned;
-        stats.bytes_before += item.entry.bytes;
-        stats.max_epoch = std::max(stats.max_epoch, item.entry.calib_epoch);
-        live.push_back(&item);
+        stats.bytes_before += bytes;
+        stats.max_epoch = std::max(stats.max_epoch, epoch.value_or(0));
     }
+    epochs_.swap(epochs);
 
     // Bound 1 + 2: age and stale calibration epochs.
-    const int64_t now = nowMs();
+    const auto now = int64_t(unixNowMs());
     uint64_t remaining = stats.bytes_before;
-    for (Item *item : live) {
+    for (Item &item : items) {
         if (config_.max_age.count() > 0 &&
-            now - item->entry.mtime_ms > config_.max_age.count()) {
-            item->evict = true;
+            now - item.mtime_ms > config_.max_age.count()) {
+            item.evict = true;
             ++stats.evicted_age;
         } else if (config_.keep_epochs > 0 &&
-                   item->entry.calib_epoch + uint64_t(config_.keep_epochs) <=
+                   item.calib_epoch + uint64_t(config_.keep_epochs) <=
                        stats.max_epoch) {
-            item->evict = true;
+            item.evict = true;
             ++stats.evicted_epoch;
         }
-        if (item->evict)
-            remaining -= item->entry.bytes;
+        if (item.evict)
+            remaining -= item.bytes;
     }
 
-    // Bound 3: byte capacity, LRU by mtime over the survivors.
+    // Bound 3: byte capacity, LRU by mtime over the survivors.  Ties
+    // break on (hi, lo), the order of the fingerprints' hex names.
     if (config_.capacity_bytes > 0 && remaining > config_.capacity_bytes) {
         std::vector<Item *> survivors;
-        for (Item *item : live)
-            if (!item->evict)
-                survivors.push_back(item);
+        for (Item &item : items)
+            if (!item.evict)
+                survivors.push_back(&item);
         std::sort(survivors.begin(), survivors.end(),
                   [](const Item *a, const Item *b) {
-                      if (a->entry.mtime_ms != b->entry.mtime_ms)
-                          return a->entry.mtime_ms < b->entry.mtime_ms;
-                      return a->entry.fp.hex() < b->entry.fp.hex();
+                      return std::tie(a->mtime_ms, a->fp.hi, a->fp.lo) <
+                             std::tie(b->mtime_ms, b->fp.hi, b->fp.lo);
                   });
         for (Item *item : survivors) {
             if (remaining <= config_.capacity_bytes)
                 break;
             item->evict = true;
             ++stats.evicted_capacity;
-            remaining -= item->entry.bytes;
+            remaining -= item->bytes;
         }
     }
 
-    std::vector<const ManifestEntry *> kept;
-    for (Item *item : live) {
-        if (item->evict) {
+    for (const Item &item : items) {
+        if (item.evict) {
             ++stats.evicted;
             std::error_code rm_ec;
-            fs::remove(fs::path(dir_) /
-                           (item->entry.fp.hex() + ".qzzprog"),
-                       rm_ec);
+            fs::remove(fs::path(dir_) / (item.fp.hex() + ".qzzprog"), rm_ec);
         } else {
-            stats.bytes_after += item->entry.bytes;
-            kept.push_back(&item->entry);
+            stats.bytes_after += item.bytes;
         }
     }
-
-    // Compact the manifest (temp + rename, like every other writer in
-    // this codebase: a crashed GC can never leave a torn manifest).
-    const fs::path final_path = manifestPath(dir_);
-    const fs::path tmp = final_path.string() + ".tmp." +
-                         std::to_string(uint64_t(::getpid()));
-    bool ok = false;
-    {
-        std::ofstream out(tmp);
-        if (out) {
-            out << manifestHeader();
-            for (const ManifestEntry *e : kept)
-                out << manifestLine(*e);
-            out.flush();
-            ok = out.good();
-        }
-    }
-    std::error_code rename_ec;
-    if (ok)
-        fs::rename(tmp, final_path, rename_ec);
-    if (!ok || rename_ec)
-        fs::remove(tmp, rename_ec);
 
     passes_.fetch_add(1, std::memory_order_relaxed);
     passes_counter_->inc();
@@ -388,11 +258,10 @@ ArtifactGc::maybeCollect()
     if (directoryBytes() <= config_.capacity_bytes)
         return;
     // One pass at a time per process: a burst of writers triggers a
-    // single collection, not a pileup behind the directory lock.
-    if (collecting_.exchange(true))
-        return;
-    run();
-    collecting_.store(false);
+    // single collection, not a pileup behind the pass mutex.
+    std::unique_lock<std::mutex> pass(pass_mu_, std::try_to_lock);
+    if (pass.owns_lock())
+        runLocked();
 }
 
 ArtifactGcStats

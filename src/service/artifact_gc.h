@@ -3,11 +3,10 @@
  * Garbage collection for the shared on-disk artifact tier.
  *
  * N server processes share one artifact directory (program_cache.h
- * writes one "<fingerprint>.qzzprog" file per compiled program).  To
- * keep that directory bounded, the tier maintains a versioned
- * manifest — manifest.jsonl, one flat JSON line per artifact carrying
- * its fingerprint, byte size, mtime and calib_epoch — and ArtifactGc
- * enforces three bounds over it:
+ * writes one "<fingerprint>.qzzprog" file per compiled program).  The
+ * directory is its own index: each ArtifactGc pass scans it, takes
+ * size and mtime from stat() and calib_epoch from the artifact's own
+ * header, and enforces three bounds:
  *
  *   - byte capacity: least-recently-used artifacts (by file mtime;
  *     disk hits touch the file) are evicted until the directory fits;
@@ -17,16 +16,11 @@
  *     more are evicted — a calibration roll retires the old
  *     generation instead of leaving it pinned by recency.
  *
- * Concurrency model (docs/formats.md#artifact-manifest):
- *   - Writers append one manifest line under an advisory exclusive
- *     flock on manifest.lock, after the artifact file itself has been
- *     atomically renamed into place.
- *   - ArtifactGc::run() takes the same lock, reconciles the manifest
- *     against a directory scan (files missing from the manifest are
- *     adopted; manifest lines whose file vanished are dropped),
- *     evicts, and rewrites the manifest compacted via temp + rename.
- *     The lock serializes GC passes and manifest appends across
- *     processes.
+ * Concurrency model (docs/formats.md#artifact-directory):
+ *   - Writers take no lock: an artifact is renamed into place whole.
+ *   - ArtifactGc::run() holds an in-process mutex for the whole pass
+ *     and an advisory exclusive flock on manifest.lock, so passes in
+ *     one process and across processes serialize.
  *   - Readers take no lock at all: a cache lookup just opens the
  *     artifact file, and if GC unlinked it first the open fails and
  *     the lookup falls back to a miss (an already-open file survives
@@ -40,64 +34,20 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
-#include <vector>
+#include <unordered_map>
 
 #include "common/telemetry.h"
 #include "service/fingerprint.h"
 
 namespace qzz::svc {
 
-/** Manifest format version (header line of manifest.jsonl). */
-inline constexpr int kManifestVersion = 1;
-
-/** One manifest line: the GC-relevant facts about one artifact. */
-struct ManifestEntry
-{
-    Fingerprint fp;
-    uint64_t bytes = 0;
-    /** Milliseconds since the Unix epoch of the artifact's mtime at
-     *  append time; GC refreshes it from stat() when reconciling. */
-    int64_t mtime_ms = 0;
-    /** CompiledProgram::calib_epoch the artifact was compiled at. */
-    uint64_t calib_epoch = 0;
-};
-
-/**
- * RAII advisory exclusive lock on an artifact directory's
- * manifest.lock file (flock, blocking).  ok() is false when the lock
- * file could not be opened — callers degrade to best effort: a
- * writer skips its manifest append (the next GC pass adopts the
- * orphaned artifact from the directory scan).
- */
-class ArtifactDirLock
-{
-  public:
-    explicit ArtifactDirLock(const std::string &dir);
-    ~ArtifactDirLock();
-
-    ArtifactDirLock(const ArtifactDirLock &) = delete;
-    ArtifactDirLock &operator=(const ArtifactDirLock &) = delete;
-
-    bool ok() const { return fd_ >= 0; }
-
-  private:
-    int fd_ = -1;
-};
-
-/** Append one line to @p dir's manifest under the directory lock.
- *  Returns false (best effort, never throws) when the directory or
- *  lock is unavailable. */
-bool appendManifestEntry(const std::string &dir, const ManifestEntry &e);
-
-/** Parse @p dir's manifest (no locking — callers that need a
- *  consistent view hold an ArtifactDirLock).  Malformed lines and a
- *  missing file read as an empty/partial result, never an error. */
-std::vector<ManifestEntry> readManifest(const std::string &dir);
+/** File mtime as milliseconds since the Unix epoch; 0 on error. */
+int64_t fileMtimeMs(const std::filesystem::path &path);
 
 /** ArtifactGc policy knobs; a zero value disables that bound. */
 struct ArtifactGcConfig
@@ -116,9 +66,7 @@ struct ArtifactGcConfig
 struct ArtifactGcStats
 {
     uint64_t scanned = 0;          ///< artifacts present before the pass
-    uint64_t manifest_entries = 0; ///< manifest lines read (pre-reconcile)
-    uint64_t adopted = 0;          ///< files present but unlisted
-    uint64_t dropped_lines = 0;    ///< manifest lines without a file
+    uint64_t adopted = 0;          ///< epochs this pass read from headers
     uint64_t evicted = 0;          ///< artifacts deleted
     uint64_t evicted_age = 0;      ///< ... for exceeding max_age
     uint64_t evicted_epoch = 0;    ///< ... for a stale calib_epoch
@@ -130,12 +78,13 @@ struct ArtifactGcStats
 
 /**
  * The artifact-tier garbage collector.  run() executes one pass (safe
- * to call concurrently from any thread or process — the directory
- * lock serializes).  start() runs passes on a background thread at a
- * fixed interval; maybeCollect() is the write-path hook: it runs a
- * pass only when a cheap directory scan shows the byte capacity
- * exceeded, so a burst of cold compiles cannot overshoot the bound by
- * more than one artifact per process for long.
+ * to call concurrently from any thread or process — the pass mutex
+ * and the directory lock serialize).  start() runs passes on a
+ * background thread at a fixed interval; maybeCollect() is the
+ * write-path hook: it runs a pass only when a cheap directory scan
+ * shows the byte capacity exceeded, so a burst of cold compiles
+ * cannot overshoot the bound by more than one artifact per process
+ * for long.
  */
 class ArtifactGc
 {
@@ -175,6 +124,9 @@ class ArtifactGc
     const ArtifactGcConfig &config() const { return config_; }
 
   private:
+    /** run() with pass_mu_ held. */
+    ArtifactGcStats runLocked();
+
     std::string dir_;
     ArtifactGcConfig config_;
 
@@ -186,7 +138,12 @@ class ArtifactGc
     tel::Counter *evicted_capacity_counter_ = nullptr;
     tel::Gauge *tier_bytes_gauge_ = nullptr;
 
-    std::atomic<bool> collecting_{false};
+    /** Held for a whole pass; the only guard of epochs_. */
+    std::mutex pass_mu_;
+    /** calib_epoch of every artifact the last pass saw whose header
+     *  parsed.  A fingerprint mixes the epoch, so a file name names
+     *  one epoch for good and each header is read once. */
+    std::unordered_map<Fingerprint, uint64_t, FingerprintHash> epochs_;
     std::atomic<uint64_t> passes_{0};
 
     mutable std::mutex stats_mu_;

@@ -7,38 +7,13 @@
 #include "common/json.h"
 #include "service/artifact_gc.h"
 #include "service/program_cache.h"
+#include "service/trace.h"
 
 namespace qzz::svc {
 
 namespace fs = std::filesystem;
 
 namespace {
-
-int64_t
-nowMs()
-{
-    return std::chrono::duration_cast<std::chrono::milliseconds>(
-               std::chrono::system_clock::now().time_since_epoch())
-        .count();
-}
-
-/** File mtime as milliseconds since the Unix epoch; 0 on error
- *  (portable file_clock -> system_clock rebase, as in artifact_gc). */
-int64_t
-fileMtimeMs(const fs::path &path)
-{
-    std::error_code ec;
-    const auto ftime = fs::last_write_time(path, ec);
-    if (ec)
-        return 0;
-    const auto sys = std::chrono::system_clock::now() +
-                     std::chrono::duration_cast<
-                         std::chrono::system_clock::duration>(
-                         ftime - fs::file_time_type::clock::now());
-    return std::chrono::duration_cast<std::chrono::milliseconds>(
-               sys.time_since_epoch())
-        .count();
-}
 
 /** Strictly parse a positive decimal integer bounded by @p max. */
 bool
@@ -417,7 +392,7 @@ CalibrationHub::pollWatchDir()
             watch_loads_->inc();
             std::lock_guard<std::mutex> lock(mu_);
             last_watch_latency_ms_ =
-                double(std::max<int64_t>(0, nowMs() - mtime_ms));
+                std::max(0.0, unixNowMs() - double(mtime_ms));
         }
         // A rejected update (stale epoch, bad snapshot) is already
         // counted in updates_rejected; it is not a watch IO error.

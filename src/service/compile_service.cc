@@ -222,14 +222,6 @@ latencyBuckets()
     return tel::HistogramBuckets::logarithmic(0.01, 2.0, 26);
 }
 
-double
-unixNowMs()
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::system_clock::now().time_since_epoch())
-        .count();
-}
-
 } // namespace
 
 CompileService::CompileService(CompileServiceConfig config)

@@ -52,8 +52,7 @@ struct Fingerprint
     std::string hex() const;
 
     /** Inverse of hex(): exactly 32 lowercase hex digits, else
-     *  nullopt (used to parse artifact file names and manifest
-     *  lines back into keys). */
+     *  nullopt (used to parse artifact file names back into keys). */
     static std::optional<Fingerprint> fromHex(std::string_view hex);
 };
 

@@ -1,6 +1,5 @@
 #include "service/program_cache.h"
 
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -133,8 +132,8 @@ ProgramCache::insert(const Fingerprint &key,
 {
     require(program != nullptr, "ProgramCache::insert: null program");
     // Render exactly once, streamed: the document's size is the
-    // entry's byte accounting (the unit the manifest and GC bound
-    // use) and, when the disk tier is on, the document is the file.
+    // entry's byte accounting (the unit the GC's byte bound uses)
+    // and, when the disk tier is on, the document is the file.
     uint64_t bytes = 0;
     if (config_.artifact_dir.empty() || !storeArtifact(key, *program, bytes))
         bytes = writeProgramArtifact(*program, nullptr);
@@ -251,11 +250,14 @@ ProgramCache::loadArtifact(const Fingerprint &key, uint64_t &bytes)
             readProgramArtifact(in);
         if (!program)
             return nullptr; // torn/stale artifact: treat as a miss
-        std::error_code ec;
-        const auto size = std::filesystem::file_size(path, ec);
-        bytes = ec ? 0 : uint64_t(size);
+        // The size of the file that was read, not of whatever the name
+        // points at now: the GC may unlink it under this reader.
+        const auto size = in.rdbuf()->pubseekoff(0, std::ios::end,
+                                                  std::ios::in);
+        bytes = size < 0 ? 0 : uint64_t(size);
         // Touch the artifact so the GC's LRU-by-mtime order reflects
         // use; best effort (the file may already be evicted).
+        std::error_code ec;
         std::filesystem::last_write_time(
             path, std::filesystem::file_time_type::clock::now(), ec);
         return std::make_shared<const core::CompiledProgram>(
@@ -305,18 +307,8 @@ ProgramCache::storeArtifact(const Fingerprint &key,
         if (!ec) {
             disk_writes_->inc();
             disk_bytes_written_->inc(bytes);
-            // Record the artifact in the shared manifest (under the
-            // directory's advisory lock), then let the GC enforce
-            // the byte bound while the write is still hot.
-            ManifestEntry entry;
-            entry.fp = key;
-            entry.bytes = bytes;
-            entry.mtime_ms =
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    std::chrono::system_clock::now().time_since_epoch())
-                    .count();
-            entry.calib_epoch = program.calib_epoch;
-            appendManifestEntry(config_.artifact_dir, entry);
+            // Let the GC enforce the byte bound while the write is
+            // still hot.
             if (config_.gc)
                 config_.gc->maybeCollect();
         }

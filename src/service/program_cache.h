@@ -22,11 +22,11 @@
  * warm state between processes).  An artifact that does not read back
  * (another version, torn, corrupt) is a miss, and the recompiled
  * program's write replaces it; a program whose artifact would exceed
- * kMaxArtifactBytes stays in memory only.  Each persisted artifact is recorded
- * in the directory's manifest.jsonl under an advisory file lock, and
- * the tier is bounded by svc::ArtifactGc (artifact_gc.h): N server
- * processes share one directory, with lock-free readers falling back
- * to a miss when GC races an eviction under them.  Disk hits touch
+ * kMaxArtifactBytes stays in memory only.  Writers take no lock, and
+ * the tier is bounded by svc::ArtifactGc (artifact_gc.h), which reads
+ * the directory itself: N server processes share one directory, with
+ * lock-free readers falling back to a miss when GC races an eviction
+ * under them.  Disk hits touch
  * the artifact's mtime so the GC's LRU order tracks use, not just
  * creation.
  */
@@ -88,7 +88,7 @@ struct ProgramCacheStats
     size_t entries = 0;       ///< current in-memory entry count
     /** Sum of the per-entry artifact byte sizes of the in-memory
      *  entries (each entry's size is its serialized-artifact length,
-     *  the same accounting unit as the on-disk manifest). */
+     *  the unit the GC's byte bound meters). */
     uint64_t entry_bytes = 0;
 
     double
@@ -158,7 +158,7 @@ class ProgramCache
     {
         Fingerprint key;
         std::shared_ptr<const core::CompiledProgram> program;
-        /** Serialized-artifact size (the manifest accounting unit). */
+        /** Serialized-artifact size (the GC's accounting unit). */
         uint64_t bytes = 0;
     };
     struct Shard

@@ -321,20 +321,6 @@ Session::stopWriter()
         writer_.join();
 }
 
-namespace {
-
-double
-unixNowMs()
-{
-    return double(std::chrono::duration_cast<std::chrono::microseconds>(
-                      std::chrono::system_clock::now()
-                          .time_since_epoch())
-                      .count()) /
-           1000.0;
-}
-
-} // namespace
-
 void
 Session::respond(const Pending &pending, const ServiceResult &result)
 {
@@ -463,8 +449,7 @@ Session::respondHello(const JsonObject &obj)
         .field("hello", true)
         .field("protocol_version", kProtocolVersion)
         .field("fingerprint_version", kFingerprintVersion)
-        .field("artifact_version", kArtifactVersion)
-        .field("manifest_version", kManifestVersion);
+        .field("artifact_version", kArtifactVersion);
     w.key("benchmarks").array(ckt::benchmarkFamilyNames());
     w.key("pulse_methods").array(core::pulseMethodNames());
     w.key("sched_policies").array(core::schedPolicyNames());
@@ -491,7 +476,6 @@ Session::respondGc()
         .field("enabled", true)
         .field("scanned", s.scanned)
         .field("adopted", s.adopted)
-        .field("dropped_lines", s.dropped_lines)
         .field("evicted", s.evicted)
         .field("evicted_age", s.evicted_age)
         .field("evicted_epoch", s.evicted_epoch)

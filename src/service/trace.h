@@ -31,6 +31,7 @@
 #define QZZ_SERVICE_TRACE_H
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iosfwd>
@@ -55,6 +56,16 @@ struct TraceSpan
     /** Free-form annotations (outcome, fingerprint, ...). */
     std::vector<std::pair<std::string, std::string>> attrs;
 };
+
+/** Wall-clock now, milliseconds since the unix epoch (the clock of
+ *  TraceSpan::start_unix_ms). */
+inline double
+unixNowMs()
+{
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::system_clock::now().time_since_epoch())
+        .count();
+}
 
 struct TraceLogConfig
 {

@@ -6,8 +6,7 @@
  * document.  Covered: decode of encode is the identity with bit-exact
  * doubles, the depth and size bounds, positioned errors for every
  * rejected construct, the writer's exact layout, and a seeded mutation
- * loop over the documents the service reads (request lines, calibration
- * snapshots, manifest lines).
+ * loop over flat lines and calibration snapshots.
  */
 
 #include <gtest/gtest.h>
@@ -168,7 +167,7 @@ const char *const kSeedDocuments[] = {
     R"(0.00012566370614359173,"t1":[100000,"inf"],"t2":[80000,"inf"],)"
     R"("anharmonicity":[-1.8849555921538759,-1.8849555921538759],)"
     R"("edge_u":[0],"edge_v":[1],"zz":[0.0013]})",
-    // Manifest lines.
+    // Flat lines of other shapes.
     R"({"qzz_manifest":1})",
     R"({"fp":"0123456789abcdef0123456789abcdef","bytes":6094,)"
     R"("mtime_ms":1760000000000,"calib_epoch":3})",
@@ -650,7 +649,7 @@ TEST(JsonTest, MutantsGiveAValueOrAnError)
     for (const char *seed : kSeedDocuments) {
         // Each seed also goes through the reader the service runs on
         // it: the calibration snapshot through readCalibrationJson(),
-        // the request and manifest lines through JsonObject.
+        // the flat lines through JsonObject.
         const bool calibration = seed == kSeedDocuments[1];
         const auto serve = [calibration](const std::string &text,
                                          std::string *why) {

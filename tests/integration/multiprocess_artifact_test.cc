@@ -6,8 +6,8 @@
  * The invariants under test are exactly the ones the distributed
  * serving story depends on:
  *
- *   - no process ever crashes or corrupts the tier (manifest stays
- *     parseable, every surviving file is a valid fingerprint name);
+ *   - no process ever crashes or corrupts the tier (every surviving
+ *     file is a valid fingerprint name);
  *   - the byte-capacity bound holds after a final GC pass;
  *   - artifacts written by one process serve disk hits in another.
  *
@@ -162,9 +162,7 @@ TEST_F(MultiprocessArtifactTest, ConcurrentWritersKeepTheTierConsistent)
     constexpr uint64_t kCapacity = 96 * 1024;
     ASSERT_TRUE(runChildren(dir_, 3, kCapacity));
 
-    // Every surviving artifact is named by a valid fingerprint and the
-    // manifest (rebuilt under the directory lock by whichever GC pass
-    // ran last) parses.
+    // Every surviving artifact is named by a valid fingerprint.
     size_t files = 0;
     for (const auto &entry : fs::directory_iterator(dir_)) {
         if (entry.path().extension() != ".qzzprog")
@@ -183,15 +181,6 @@ TEST_F(MultiprocessArtifactTest, ConcurrentWritersKeepTheTierConsistent)
     ArtifactGc gc(dir_, gc_config);
     const ArtifactGcStats stats = gc.run();
     EXPECT_LE(stats.bytes_after, kCapacity);
-    EXPECT_EQ(stats.dropped_lines, 0u);
-
-    // Manifest and directory agree exactly after the pass.
-    const auto entries = readManifest(dir_);
-    size_t remaining = 0;
-    for (const auto &entry : fs::directory_iterator(dir_))
-        if (entry.path().extension() == ".qzzprog")
-            ++remaining;
-    EXPECT_EQ(entries.size(), remaining);
 }
 
 TEST_F(MultiprocessArtifactTest, ArtifactsFromOneProcessServeAnother)

@@ -1,9 +1,9 @@
 /**
  * @file
- * Artifact-tier GC unit tests: manifest round trips, version gating,
- * the three eviction bounds (age, stale epoch, byte capacity with
- * LRU-by-mtime), reconciliation (adopting unlisted files, dropping
- * dead manifest lines), and Fingerprint::fromHex.
+ * Artifact-tier GC unit tests: the three eviction bounds (age, stale
+ * epoch, byte capacity with LRU-by-mtime), the per-artifact epoch
+ * memo (each header read once; an unparseable header read again), the
+ * files a pass leaves alone, and Fingerprint::fromHex.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "service/artifact.h"
@@ -51,8 +52,8 @@ class ArtifactGcTest : public ::testing::Test
     }
 
     /** Write a fake artifact file: a JSON document with the version
-     *  and calib_epoch members (the GC reads calib_epoch out of it
-     *  when adopting) padded with trailing whitespace to @p bytes,
+     *  and calib_epoch members (the GC reads calib_epoch out of its
+     *  header) padded with trailing whitespace to @p bytes,
      *  with mtime @p age in the past. */
     void
     writeArtifact(const Fingerprint &key, size_t bytes, uint64_t epoch,
@@ -70,6 +71,14 @@ class ArtifactGcTest : public ::testing::Test
         if (age.count() > 0)
             fs::last_write_time(
                 path, fs::file_time_type::clock::now() - age);
+    }
+
+    /** Write an artifact-named file whose header does not parse. */
+    void
+    writeStray(const Fingerprint &key)
+    {
+        std::ofstream(fs::path(dir_) / (key.hex() + ".qzzprog"))
+            << "not an artifact\n";
     }
 
     bool
@@ -98,50 +107,6 @@ TEST(FingerprintFromHexTest, RoundTripsAndRejectsMalformedInput)
         "0123456789abcdeg0123456789abcdef"));                 // non-hex
 }
 
-TEST_F(ArtifactGcTest, ManifestRoundTripsThroughAppendAndRead)
-{
-    ManifestEntry a{fp(1), 100, 1111, 3};
-    ManifestEntry b{fp(2), 200, 2222, 4};
-    ASSERT_TRUE(appendManifestEntry(dir_, a));
-    ASSERT_TRUE(appendManifestEntry(dir_, b));
-
-    const auto entries = readManifest(dir_);
-    ASSERT_EQ(entries.size(), 2u);
-    EXPECT_EQ(entries[0].fp, a.fp);
-    EXPECT_EQ(entries[0].bytes, 100u);
-    EXPECT_EQ(entries[0].mtime_ms, 1111);
-    EXPECT_EQ(entries[0].calib_epoch, 3u);
-    EXPECT_EQ(entries[1].fp, b.fp);
-}
-
-TEST_F(ArtifactGcTest, ManifestVersionMismatchReadsAsAbsent)
-{
-    std::ofstream(fs::path(dir_) / "manifest.jsonl")
-        << "{\"qzz_manifest\":999}\n"
-        << "{\"fp\":\"" << fp(1).hex()
-        << "\",\"bytes\":10,\"mtime_ms\":1,\"calib_epoch\":0}\n";
-    EXPECT_TRUE(readManifest(dir_).empty());
-}
-
-TEST_F(ArtifactGcTest, MalformedManifestLinesAreSkippedNotFatal)
-{
-    ASSERT_TRUE(appendManifestEntry(dir_, {fp(1), 100, 1111, 0}));
-    {
-        std::ofstream out(fs::path(dir_) / "manifest.jsonl",
-                          std::ios::app);
-        out << "not json at all\n";
-        out << "{\"fp\":\"zzz\",\"bytes\":1,\"mtime_ms\":1,"
-               "\"calib_epoch\":0}\n"; // bad fingerprint
-        out << "{\"fp\":\"" << fp(2).hex() << "\"}\n"; // missing fields
-    }
-    ASSERT_TRUE(appendManifestEntry(dir_, {fp(3), 300, 3333, 0}));
-
-    const auto entries = readManifest(dir_);
-    ASSERT_EQ(entries.size(), 2u);
-    EXPECT_EQ(entries[0].fp, fp(1));
-    EXPECT_EQ(entries[1].fp, fp(3));
-}
-
 TEST_F(ArtifactGcTest, CapacityBoundEvictsLruByMtime)
 {
     // Three 1000-byte artifacts; the middle-aged one was touched most
@@ -165,10 +130,6 @@ TEST_F(ArtifactGcTest, CapacityBoundEvictsLruByMtime)
     EXPECT_TRUE(artifactExists(fp(2)));
     EXPECT_TRUE(artifactExists(fp(3)));
     EXPECT_LE(gc.directoryBytes(), 2000u);
-
-    // The compacted manifest lists exactly the survivors.
-    const auto entries = readManifest(dir_);
-    ASSERT_EQ(entries.size(), 2u);
 }
 
 TEST_F(ArtifactGcTest, MaxAgeEvictsOldArtifacts)
@@ -207,28 +168,48 @@ TEST_F(ArtifactGcTest, StaleCalibEpochsAreRetired)
     EXPECT_TRUE(artifactExists(fp(4)));
 }
 
-TEST_F(ArtifactGcTest, ReconcileAdoptsStraysAndDropsDeadLines)
+TEST_F(ArtifactGcTest, EachHeaderEpochIsReadOnce)
 {
-    // fp(1): file without a manifest line (a writer that crashed
-    // between rename and append) — adopted, with its calib_epoch
-    // recovered from the artifact header.
+    // fp(1)'s header says epoch 7; fp(2)'s does not parse, so it
+    // counts as epoch 0 and keep_epochs = 1 retires it.
     writeArtifact(fp(1), 400, 7);
-    // fp(2): manifest line without a file (evicted by another
-    // process) — dropped.
-    ASSERT_TRUE(appendManifestEntry(dir_, {fp(2), 400, 1, 0}));
+    writeStray(fp(2));
 
+    ArtifactGcConfig config;
+    config.keep_epochs = 1;
+    ArtifactGc gc(dir_, config);
+    const ArtifactGcStats first = gc.run();
+    EXPECT_EQ(first.scanned, 2u);
+    EXPECT_EQ(first.adopted, 1u);
+    EXPECT_EQ(first.max_epoch, 7u);
+    EXPECT_EQ(first.evicted_epoch, 1u);
+    EXPECT_TRUE(artifactExists(fp(1)));
+    EXPECT_FALSE(artifactExists(fp(2)));
+
+    // A file name names one epoch for good, so the second pass takes
+    // fp(1)'s epoch from the memo, not from the (here rewritten)
+    // header.
+    writeArtifact(fp(1), 400, 0);
+    const ArtifactGcStats second = gc.run();
+    EXPECT_EQ(second.scanned, 1u);
+    EXPECT_EQ(second.adopted, 0u);
+    EXPECT_EQ(second.max_epoch, 7u);
+    EXPECT_EQ(second.evicted, 0u);
+}
+
+TEST_F(ArtifactGcTest, UnparseableHeaderIsReadAgainAfterARewrite)
+{
+    writeStray(fp(5));
     ArtifactGc gc(dir_, ArtifactGcConfig{});
-    const ArtifactGcStats stats = gc.run();
+    const ArtifactGcStats first = gc.run();
+    EXPECT_EQ(first.scanned, 1u);
+    EXPECT_EQ(first.adopted, 0u);
+    EXPECT_EQ(first.max_epoch, 0u);
 
-    EXPECT_EQ(stats.adopted, 1u);
-    EXPECT_EQ(stats.dropped_lines, 1u);
-    EXPECT_EQ(stats.evicted, 0u);
-
-    const auto entries = readManifest(dir_);
-    ASSERT_EQ(entries.size(), 1u);
-    EXPECT_EQ(entries[0].fp, fp(1));
-    EXPECT_EQ(entries[0].bytes, 400u);
-    EXPECT_EQ(entries[0].calib_epoch, 7u);
+    writeArtifact(fp(5), 400, 9);
+    const ArtifactGcStats second = gc.run();
+    EXPECT_EQ(second.adopted, 1u);
+    EXPECT_EQ(second.max_epoch, 9u);
 }
 
 TEST_F(ArtifactGcTest, MaybeCollectOnlyRunsWhenOverCapacity)
@@ -275,7 +256,22 @@ TEST_F(ArtifactGcTest, NonArtifactFilesAreNeverTouched)
 
     EXPECT_FALSE(artifactExists(fp(1)));
     EXPECT_TRUE(fs::exists(fs::path(dir_) / "notes.txt"));
-    EXPECT_TRUE(fs::exists(fs::path(dir_) / "manifest.jsonl"));
+    const fs::path manifest = fs::path(dir_) / "manifest.jsonl";
+    EXPECT_FALSE(fs::exists(manifest));
+
+    // The index an older build kept beside the artifacts is ignored
+    // and left byte-identical.
+    const std::string old_index =
+        "{\"qzz_manifest\":1}\n{\"fp\":\"" + fp(2).hex() +
+        "\",\"bytes\":5000,\"mtime_ms\":1,\"calib_epoch\":0}\n";
+    std::ofstream(manifest) << old_index;
+    writeArtifact(fp(2), 5000, 0);
+    gc.run();
+    EXPECT_FALSE(artifactExists(fp(2)));
+    std::ifstream in(manifest);
+    const std::string after((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    EXPECT_EQ(after, old_index);
 }
 
 } // namespace

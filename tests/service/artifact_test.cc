@@ -247,15 +247,16 @@ TEST(ArtifactTest, CalibEpochReadsBackFromTheHeaderAlone)
     const std::string text = programArtifactString(p);
     EXPECT_EQ(epochOf(text), 1234567u);
 
-    EXPECT_EQ(epochOf(text.substr(0, text.find("calib_epoch"))), 0u);
+    EXPECT_EQ(epochOf(text.substr(0, text.find("calib_epoch"))),
+              std::nullopt);
     std::string renamed = text;
     renamed.replace(renamed.find("calib_epoch"), 11, "calib_epoc");
-    EXPECT_EQ(epochOf(renamed), 0u);
-    EXPECT_EQ(epochOf(R"({"qzzprog":2,"calib_epoch":9})"), 0u);
+    EXPECT_EQ(epochOf(renamed), std::nullopt);
+    EXPECT_EQ(epochOf(R"({"qzzprog":2,"calib_epoch":9})"), std::nullopt);
     EXPECT_EQ(epochOf("qzzprog 2\npulse_method Gaussian\n"
                       "sched_policy ParSched\ncalib_epoch 9\n"),
-              0u);
-    EXPECT_EQ(epochOf(""), 0u);
+              std::nullopt);
+    EXPECT_EQ(epochOf(""), std::nullopt);
 }
 
 TEST(ArtifactTest, DecodeOfEncodeIsTheIdentityForEveryPolicy)
@@ -346,9 +347,14 @@ TEST(ArtifactTest, MutantsDecodeToNulloptOrToAFixedPoint)
             m.insert(m.begin() + std::ptrdiff_t(at), byte);
             break;
         }
+        // The GC's header reader sees the same mutant: it must not
+        // crash, and it agrees with every full decode that succeeds.
+        std::istringstream head(m);
+        const std::optional<uint64_t> epoch = readArtifactCalibEpoch(head);
         const auto p = decode(m);
         if (!p)
             continue;
+        ASSERT_EQ(epoch, p->calib_epoch) << "mutant " << i;
         ++decoded;
         const std::string encoded = programArtifactString(*p);
         changed += encoded != original;

@@ -193,6 +193,21 @@ TEST_F(ProgramCacheDiskTest, ArtifactTierSurvivesRestart)
     EXPECT_EQ(restarted.stats().hits, 1u);
 }
 
+TEST_F(ProgramCacheDiskTest, DiskHitCountsTheArtifactsBytes)
+{
+    const Fingerprint fp = key(9);
+    const std::string text = programArtifactString(*makeProgram(9));
+    std::filesystem::create_directories(dir_);
+    std::ofstream(dir_ / (fp.hex() + ".qzzprog")) << text;
+    ProgramCache cache(cacheConfig(4, 1, dir_.string()));
+    ASSERT_NE(cache.lookup(fp), nullptr);
+    const ProgramCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.disk_hits, 1u);
+    EXPECT_EQ(stats.entry_bytes, text.size());
+    EXPECT_EQ(stats.entry_bytes,
+              std::filesystem::file_size(dir_ / (fp.hex() + ".qzzprog")));
+}
+
 TEST_F(ProgramCacheDiskTest, TornArtifactIsTreatedAsMiss)
 {
     // A document cut off mid-member, as a crash between open and

@@ -300,7 +300,8 @@ TEST(ServerSessionTest, HelloAnnouncesVersionsAndCapabilities)
     EXPECT_NE(hello.find("\"protocol_version\":1"), std::string::npos);
     EXPECT_NE(hello.find("\"fingerprint_version\":"), std::string::npos);
     EXPECT_NE(hello.find("\"artifact_version\":"), std::string::npos);
-    EXPECT_NE(hello.find("\"manifest_version\":"), std::string::npos);
+    // The artifact directory is its own index: no manifest version.
+    EXPECT_EQ(hello.find("\"manifest_version\""), std::string::npos);
     EXPECT_NE(hello.find("\"benchmarks\":[\"HS\",\"QFT\""),
               std::string::npos);
     EXPECT_NE(hello.find("\"pulse_methods\":["), std::string::npos);
@@ -368,6 +369,12 @@ TEST(ServerSessionTest, GcVerbRunsAPassOverTheArtifactTier)
     EXPECT_NE(gc.find("\"evicted\":0"), std::string::npos);
     EXPECT_NE(gc.find("\"capacity_bytes\":0"), std::string::npos);
     EXPECT_NE(gc.find("\"passes\":1"), std::string::npos);
+    EXPECT_EQ(gc.find("\"dropped_lines\""), std::string::npos);
+    // The tier holds the artifacts and the pass lock, nothing else.
+    for (const auto &entry : fs::directory_iterator(dir))
+        EXPECT_TRUE(entry.path().extension() == ".qzzprog" ||
+                    entry.path().filename() == "manifest.lock")
+            << entry.path();
     fs::remove_all(dir);
 }
 
