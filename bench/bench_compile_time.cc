@@ -108,7 +108,7 @@ BENCHMARK(BM_DualGraphConstruction)->Unit(benchmark::kMicrosecond);
 
 // --- Stage-based Compiler API overhead -------------------------------
 
-/** Full Compiler pipeline (route+lower+schedule+pulses); comparing
+/** Full Compiler pipeline (route+lower+schedule); comparing
  *  against BM_ZzxCompileGrc12 isolates the API overhead. */
 void
 BM_CompilerZzxGrc12(benchmark::State &state)
@@ -127,8 +127,8 @@ BM_CompilerZzxGrc12(benchmark::State &state)
 }
 BENCHMARK(BM_CompilerZzxGrc12)->Unit(benchmark::kMillisecond);
 
-/** A fresh Compiler per compile: build (per-device tables) plus the
- *  pipeline. */
+/** A fresh Compiler per compile: build (pulse library, per-device
+ *  tables) plus the pipeline. */
 void
 BM_BuildAndCompileGrc12(benchmark::State &state)
 {
@@ -147,7 +147,8 @@ BM_BuildAndCompileGrc12(benchmark::State &state)
 }
 BENCHMARK(BM_BuildAndCompileGrc12)->Unit(benchmark::kMillisecond);
 
-/** Per-device table precomputation paid once per CompilerBuilder. */
+/** What build() pays once per Compiler: the pulse-library memo
+ *  lookup, the gate durations and the per-device tables. */
 void
 BM_CompilerBuild(benchmark::State &state)
 {

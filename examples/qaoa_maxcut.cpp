@@ -3,8 +3,8 @@
  * Domain example: QAOA MaxCut on a 6-qubit grid device.
  *
  * Walks the full co-optimization stack explicitly (route -> lower ->
- * schedule -> pulses -> simulate) instead of using the one-shot
- * pipeline, to show what each stage produces.
+ * schedule against a pulse library -> simulate) instead of using the
+ * one-shot pipeline, to show what each stage produces.
  */
 
 #include <iostream>
@@ -35,9 +35,9 @@ main()
     std::cout << "Native circuit: " << native.size() << " gates ("
               << native.twoQubitCount() << " Rzx)\n\n";
 
-    // Stage 3+4: schedule and attach pulse libraries, then simulate.
-    // Each configuration is a Compiler running the same four stages
-    // the code above walked by hand.
+    // Stage 3: schedule against each pulse library, then simulate.
+    // Each configuration is a Compiler running the same three stages
+    // the code above walked by hand, with its library fixed at build().
     Table table({"configuration", "layers", "exec (ns)", "mean NC",
                  "max NQ", "fidelity"});
     for (auto [pulse, sched] :

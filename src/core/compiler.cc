@@ -27,16 +27,6 @@ millisecondsSince(Clock::time_point start)
 } // namespace
 
 // ---------------------------------------------------------------------------
-// Pulse providers
-// ---------------------------------------------------------------------------
-
-std::shared_ptr<const pulse::PulseLibrary>
-CachedPulseProvider::library(PulseMethod method)
-{
-    return getPulseLibraryShared(method);
-}
-
-// ---------------------------------------------------------------------------
 // The pipeline stages
 // ---------------------------------------------------------------------------
 
@@ -147,29 +137,6 @@ scheduleSegment(const ckt::QuantumCircuit &native, const dev::Device &dev,
     panic("schedule: unknown policy");
 }
 
-/**
- * Attach the provider's library to @p out (once) and derive the gate
- * durations from it.  False — with the status set — when the provider
- * has no library to give.
- */
-bool
-fetchLibrary(PulseProvider &provider, PulseMethod method,
-             CompileResult &out, GateDurations &durations)
-{
-    if (out.program.library)
-        return true;
-    std::shared_ptr<const pulse::PulseLibrary> lib =
-        provider.library(method);
-    if (!lib) {
-        out.status = {CompileStatusCode::InvalidInput, "pulses",
-                      "pulse provider returned no library"};
-        return false;
-    }
-    out.program.library = std::move(lib);
-    durations = GateDurations::fromLibrary(*out.program.library);
-    return true;
-}
-
 } // namespace
 
 // ---------------------------------------------------------------------------
@@ -196,11 +163,12 @@ BatchResult::allOk() const
 Compiler::Compiler(dev::Device device, CompileOptions options,
                    std::shared_ptr<const ZzxDeviceTables> zzx_tables,
                    std::shared_ptr<const ExactDeviceTables> exact_tables,
-                   std::shared_ptr<PulseProvider> provider)
+                   std::shared_ptr<const pulse::PulseLibrary> library)
     : device_(std::move(device)), options_(options),
       zzx_tables_(std::move(zzx_tables)),
       exact_tables_(std::move(exact_tables)),
-      provider_(std::move(provider))
+      library_(std::move(library)),
+      durations_(GateDurations::fromLibrary(*library_))
 {
 }
 
@@ -218,6 +186,7 @@ Compiler::compileSegments(
     out.program.pulse_method = options_.pulse;
     out.program.sched_policy = options_.sched;
     out.program.calib_epoch = device_.calibration().epoch;
+    out.program.library = library_;
     if (segments.empty()) {
         out.status = {CompileStatusCode::InvalidInput, "",
                       "compileSegments: no segments given"};
@@ -226,7 +195,6 @@ Compiler::compileSegments(
 
     const auto compile_start = Clock::now();
     std::vector<ckt::QuantumCircuit> routed, native;
-    GateDurations durations;
     runStage("route", compile_start, out, [&] {
         routed = routeSegments(segments, device_.graph(),
                                out.program.final_layout,
@@ -239,26 +207,15 @@ Compiler::compileSegments(
                                out.program.native);
     });
     runStage("schedule", compile_start, out, [&] {
-        // Durations come from the pulse library (e.g. DCG stretches
-        // SX to 120 ns), so the library is fetched here, before the
-        // pulses stage.
-        if (!fetchLibrary(*provider_, options_.pulse, out, durations))
-            return;
         Schedule &schedule = out.program.schedule;
         schedule.num_qubits = device_.numQubits();
         for (const ckt::QuantumCircuit &segment : native) {
             Schedule part =
-                scheduleSegment(segment, device_, durations, options_,
+                scheduleSegment(segment, device_, durations_, options_,
                                 zzx_tables_.get(), exact_tables_.get());
             for (Layer &layer : part.layers)
                 schedule.layers.push_back(std::move(layer));
         }
-    });
-    runStage("pulses", compile_start, out, [&] {
-        // The schedule stage already attached the library for its
-        // durations, so this finds it in place; the stage is kept so
-        // diagnostics and trace spans show all four stages.
-        fetchLibrary(*provider_, options_.pulse, out, durations);
     });
     out.diagnostics.total_ms = millisecondsSince(compile_start);
     if (out.ok()) {
@@ -288,14 +245,6 @@ Compiler::compileBatch(const std::vector<ckt::QuantumCircuit> &circuits,
     threads = std::max(1, std::min<int>(threads, int(circuits.size())));
 
     const auto start = Clock::now();
-    // Warm the shared pulse library before fanning out, so the
-    // workers never serialize on a cold calibration build; a failure
-    // here is surfaced per-circuit through the status channel.
-    try {
-        provider_->library(options_.pulse);
-    } catch (const std::exception &) {
-    }
-
     // Fan out over the shared work pool (one circuit per block) —
     // repeated batches reuse the process-wide workers instead of
     // spawning a fresh std::thread set per call.
@@ -338,15 +287,19 @@ CompilerBuilder::schedPolicy(SchedPolicy p)
 }
 
 CompilerBuilder &
-CompilerBuilder::pulseProvider(std::shared_ptr<PulseProvider> p)
+CompilerBuilder::pulseLibrary(std::shared_ptr<const pulse::PulseLibrary> lib)
 {
-    provider_ = std::move(p);
+    library_ = std::move(lib);
     return *this;
 }
 
 Compiler
 CompilerBuilder::build() const
 {
+    std::shared_ptr<const pulse::PulseLibrary> library =
+        library_ ? *library_ : getPulseLibraryShared(options_.pulse);
+    if (!library)
+        fatal("CompilerBuilder: the injected pulse library is null");
     std::shared_ptr<const ZzxDeviceTables> zzx_tables;
     std::shared_ptr<const ExactDeviceTables> exact_tables;
     switch (options_.sched) {
@@ -361,10 +314,8 @@ CompilerBuilder::build() const
         exact_tables = std::make_shared<const ExactDeviceTables>(device_);
         break;
     }
-    std::shared_ptr<PulseProvider> provider =
-        provider_ ? provider_ : std::make_shared<CachedPulseProvider>();
     return Compiler(device_, options_, std::move(zzx_tables),
-                    std::move(exact_tables), std::move(provider));
+                    std::move(exact_tables), std::move(library));
 }
 
 } // namespace qzz::core

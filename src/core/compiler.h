@@ -1,25 +1,26 @@
 /**
  * @file
  * The compiler: the paper's framework (Fig. 2) as one fixed pipeline
- * of four stages, run in this order by Compiler:
+ * of three stages, run in this order by Compiler:
  *
  *  route     route every segment to the topology, threading the
  *            qubit layout from one segment to the next;
  *  lower     decompose to the native gate set;
  *  schedule  layer the native circuit with the SchedPolicy's entry
  *            point (parSchedule(), zzxSchedule(), zzxWeightedSchedule(),
- *            exactSchedule() or cycleAwareSchedule());
- *  pulses    attach the pulse library to the program.
+ *            exactSchedule() or cycleAwareSchedule()).
  *
- * CompilerBuilder::build() makes the per-device tables the policy
- * needs once (ZzxDeviceTables for Zzx, ZzxWeighted and CycleAware,
- * ExactDeviceTables for Exact, none for Par), and every compile of the
- * Compiler reuses them.
- *
- * One seam selects what a stage uses without touching it: the
- * PulseProvider, the pulse-library source with shared ownership (the
- * process-wide calibration cache, or a fixed injected library, e.g. a
- * DD-substituted one).
+ * CompilerBuilder::build() fixes everything a compile reads besides
+ * the circuit: the pulse library (the process-wide calibration memo
+ * for the PulseMethod, or one injected with pulseLibrary(), e.g. a
+ * DD-substituted one), the gate durations derived from it (e.g. DCG
+ * stretches SX to 120 ns), and the per-device tables the policy needs
+ * (ZzxDeviceTables for Zzx, ZzxWeighted and CycleAware,
+ * ExactDeviceTables for Exact, none for Par).  Every compile of the
+ * Compiler reuses them, and every program it compiles shares its
+ * library.  A Compiler without a usable library is never built:
+ * build() throws UserError when the injected library is null or lacks
+ * an SX or Identity program.
  *
  * A compile does not throw: a failure lands on CompileResult::status,
  * named by the stage that failed, and every stage that ran records its
@@ -36,6 +37,7 @@
 #define QZZ_CORE_COMPILER_H
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,7 +53,7 @@ namespace qzz::core {
 /** Wall time and work counters of one executed stage. */
 struct StageDiagnostics
 {
-    /** Stage name: "route", "lower", "schedule" or "pulses". */
+    /** Stage name: "route", "lower" or "schedule". */
     std::string stage;
     /** Wall-clock time spent in the stage (ms). */
     double wall_ms = 0.0;
@@ -110,68 +112,6 @@ struct CompileStatus
 };
 
 // ---------------------------------------------------------------------------
-// Pulse providers
-// ---------------------------------------------------------------------------
-
-/**
- * Source of pulse libraries with explicit shared ownership: the
- * returned shared_ptr keeps the library alive for as long as any
- * CompiledProgram references it, independent of process-global
- * caches.  library() must be thread-safe (compileBatch() calls it
- * from worker threads).
- */
-class PulseProvider
-{
-  public:
-    virtual ~PulseProvider() = default;
-
-    /** The library for @p method; never nullptr on success. */
-    virtual std::shared_ptr<const pulse::PulseLibrary>
-    library(PulseMethod method) = 0;
-};
-
-/**
- * The default provider: the process-wide memo backed by the on-disk
- * calibration store (see getPulseLibraryShared()).
- */
-class CachedPulseProvider final : public PulseProvider
-{
-  public:
-    std::shared_ptr<const pulse::PulseLibrary>
-    library(PulseMethod method) override;
-};
-
-/**
- * Serves one fixed library regardless of the requested method.  Used
- * to inject substituted libraries (e.g. substituteIdentity() DD
- * sequences) or experimental calibrations into the pipeline.
- */
-class FixedPulseProvider final : public PulseProvider
-{
-  public:
-    explicit FixedPulseProvider(pulse::PulseLibrary lib)
-        : lib_(std::make_shared<const pulse::PulseLibrary>(
-              std::move(lib)))
-    {
-    }
-    explicit FixedPulseProvider(
-        std::shared_ptr<const pulse::PulseLibrary> lib)
-        : lib_(std::move(lib))
-    {
-    }
-
-    std::shared_ptr<const pulse::PulseLibrary>
-    library(PulseMethod method) override
-    {
-        (void)method;
-        return lib_;
-    }
-
-  private:
-    std::shared_ptr<const pulse::PulseLibrary> lib_;
-};
-
-// ---------------------------------------------------------------------------
 // Compiler
 // ---------------------------------------------------------------------------
 
@@ -217,10 +157,11 @@ struct BatchResult
 };
 
 /**
- * The four-stage pipeline bound to one device and one configuration.
+ * The three-stage pipeline bound to one device and one configuration.
  * Built by CompilerBuilder; immutable and safe to share across
- * threads.  The per-device scheduling tables are precomputed at build
- * time and reused by every compile.
+ * threads.  The pulse library, its gate durations and the per-device
+ * scheduling tables are fixed at build time and reused by every
+ * compile.
  */
 class Compiler
 {
@@ -255,7 +196,7 @@ class Compiler
     Compiler(dev::Device device, CompileOptions options,
              std::shared_ptr<const ZzxDeviceTables> zzx_tables,
              std::shared_ptr<const ExactDeviceTables> exact_tables,
-             std::shared_ptr<PulseProvider> provider);
+             std::shared_ptr<const pulse::PulseLibrary> library);
 
     dev::Device device_;
     CompileOptions options_;
@@ -263,7 +204,10 @@ class Compiler
     std::shared_ptr<const ZzxDeviceTables> zzx_tables_;
     /** Set for Exact; null otherwise. */
     std::shared_ptr<const ExactDeviceTables> exact_tables_;
-    std::shared_ptr<PulseProvider> provider_;
+    /** Never null; attached to every compiled program. */
+    const std::shared_ptr<const pulse::PulseLibrary> library_;
+    /** GateDurations::fromLibrary(*library_). */
+    const GateDurations durations_;
 };
 
 /**
@@ -277,7 +221,7 @@ class Compiler
  *   core::CompileResult r = c.compile(circuit);
  * @endcode
  *
- * A custom PulseProvider overrides the pulseMethod() lookup.
+ * An injected pulseLibrary() overrides the pulseMethod() lookup.
  */
 class CompilerBuilder
 {
@@ -292,17 +236,22 @@ class CompilerBuilder
     CompilerBuilder &pulseMethod(PulseMethod m);
     CompilerBuilder &schedPolicy(SchedPolicy p);
 
-    /** Inject a pulse source (overrides pulseMethod() lookup). */
-    CompilerBuilder &pulseProvider(std::shared_ptr<PulseProvider> p);
+    /** Inject a pulse library (overrides the pulseMethod() lookup;
+     *  the program's pulse_method still names pulseMethod()). */
+    CompilerBuilder &
+    pulseLibrary(std::shared_ptr<const pulse::PulseLibrary> lib);
 
-    /** Assemble the Compiler (builds the per-device tables its
-     *  SchedPolicy needs). */
+    /** Assemble the Compiler: fetch the pulse library and its gate
+     *  durations, and build the per-device tables its SchedPolicy
+     *  needs.  UserError when the injected library is null or has no
+     *  SX or Identity program. */
     Compiler build() const;
 
   private:
     dev::Device device_;
     CompileOptions options_;
-    std::shared_ptr<PulseProvider> provider_;
+    /** Set by pulseLibrary(), null or not. */
+    std::optional<std::shared_ptr<const pulse::PulseLibrary>> library_;
 };
 
 } // namespace qzz::core

@@ -529,14 +529,8 @@ getPulseLibraryShared(PulseMethod method)
         std::move(lib));
     const std::lock_guard<std::mutex> lock(libraryMutex());
     auto [pos, ok] = libraryMemo().emplace(method, std::move(shared));
-    ensure(ok, "getPulseLibrary: memo insert failed");
+    ensure(ok, "getPulseLibraryShared: memo insert failed");
     return pos->second;
-}
-
-const pulse::PulseLibrary &
-getPulseLibrary(PulseMethod method)
-{
-    return *getPulseLibraryShared(method);
 }
 
 void

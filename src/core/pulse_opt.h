@@ -151,19 +151,12 @@ pulse::PulseProgram programFromCoeffs(
  * Shared ownership: the returned library stays alive for as long as
  * any caller holds the shared_ptr, even across
  * clearPulseLibraryCache().  Thread-safe — concurrent callers (e.g.
- * Compiler::compileBatch() workers, or parallel ctest processes'
- * threads) serialize on an internal mutex, so a cold library is
- * built exactly once.
+ * the service's workers building Compilers for different devices)
+ * serialize on an internal mutex, so a cold library is built exactly
+ * once.
  */
 std::shared_ptr<const pulse::PulseLibrary>
 getPulseLibraryShared(PulseMethod method);
-
-/**
- * Reference-returning variant of getPulseLibraryShared().  The
- * reference is valid until the next clearPulseLibraryCache(); prefer
- * the shared variant when the library must outlive the cache.
- */
-const pulse::PulseLibrary &getPulseLibrary(PulseMethod method);
 
 /** Clear the in-process per-method library memo (tests).
  *  Thread-safe; shared handles from getPulseLibraryShared() remain

@@ -8,9 +8,9 @@
  *
  * @section compile Compiling a circuit
  *
- * Compilation is one fixed pipeline — route, lower, schedule, attach
- * pulses (Fig. 2 of the paper) — run by core::Compiler
- * (core/compiler.h):
+ * Compilation is one fixed pipeline — route, lower, schedule (Fig. 2
+ * of the paper), against the pulse library the compiler was built
+ * with — run by core::Compiler (core/compiler.h):
  *
  * @code
  *   core::Compiler compiler = core::CompilerBuilder(device)
@@ -26,9 +26,10 @@
  *    UserError / InternalError for callers that want a throw;
  *  - result.diagnostics carries per-stage wall times and NC/NQ stats;
  *  - the SchedPolicy picks the scheduling entry point, whose
- *    per-device tables build() makes once; the pulse source
- *    (core::PulseProvider) is injectable, and CompiledProgram owns
- *    its pulse library via shared_ptr;
+ *    per-device tables build() makes once; build() also fixes the
+ *    pulse library (the PulseMethod's, or one injected with
+ *    CompilerBuilder::pulseLibrary()), and CompiledProgram owns it
+ *    via shared_ptr;
  *  - compileBatch() compiles many circuits across a thread pool while
  *    sharing routing tables and pulse libraries.
  */

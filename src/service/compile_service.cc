@@ -544,10 +544,11 @@ CompileService::serve(const TaskPtr &task)
         compiled = compiler->compile(request.circuit);
     } catch (const UserError &e) {
         // compile() maps exceptions to a status itself, but building
-        // the Compiler (per-device tables: planar embedding,
-        // all-pairs distances) can throw on a degenerate device —
-        // that must fail this request, never escape the worker
-        // thread and terminate the service.
+        // the Compiler (its pulse library, per-device tables: planar
+        // embedding, all-pairs distances) can throw, e.g. on a
+        // degenerate device — that must fail this request under the
+        // stage "prepare", never escape the worker thread and
+        // terminate the service.
         compiled.status.code = core::CompileStatusCode::InvalidInput;
         compiled.status.pass = "prepare";
         compiled.status.message = e.what();

@@ -10,7 +10,7 @@
  *     |-- queue_wait              admission queue time
  *     |-- cache_probe             program-cache lookup (memory + disk)
  *     |-- compile                 whole pipeline, when a compile ran
- *     |     |-- route / lower / schedule / pulses
+ *     |     |-- route / lower / schedule
  *     |-- artifact_write          cache insert + artifact-tier store
  *   respond                       (child of request; emitted by the
  *                                  Session after the bytes are out)

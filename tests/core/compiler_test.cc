@@ -1,18 +1,17 @@
 /**
  * @file
  * Tests for the compiler (core/compiler.h): the builder, the
- * four-stage pipeline, the structured status channel, per-stage
- * diagnostics, the per-policy schedule dispatch, and injectable pulse
- * providers.
+ * three-stage pipeline, the structured status channel, per-stage
+ * diagnostics, the per-policy schedule dispatch, and injected pulse
+ * libraries.
  */
 
 #include "core/compiler.h"
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
-
 #include "circuit/benchmarks.h"
+#include "common/error.h"
 #include "common/suppression_invariants.h"
 #include "common/units.h"
 #include "core/cycle_sched.h"
@@ -68,11 +67,10 @@ TEST(CompilerTest, DiagnosticsCoverEveryStage)
     CompileResult result = compiler.compile(testCircuit());
 
     ASSERT_TRUE(result.ok());
-    ASSERT_EQ(result.diagnostics.stages.size(), 4u);
+    ASSERT_EQ(result.diagnostics.stages.size(), 3u);
     EXPECT_EQ(result.diagnostics.stages[0].stage, "route");
     EXPECT_EQ(result.diagnostics.stages[1].stage, "lower");
     EXPECT_EQ(result.diagnostics.stages[2].stage, "schedule");
-    EXPECT_EQ(result.diagnostics.stages[3].stage, "pulses");
     EXPECT_GT(result.diagnostics.stages[1].gates_added, 0);
     EXPECT_GT(result.diagnostics.stages[2].layers_added, 0);
     for (const StageDiagnostics &stage : result.diagnostics.stages)
@@ -143,10 +141,10 @@ TEST(CompilerTest, StatusChannelReportsSegmentSizeMismatch)
     EXPECT_EQ(result.status.pass, "route");
 }
 
-TEST(CompilerTest, FixedPulseProviderInjectsLibrary)
+TEST(CompilerTest, InjectedPulseLibraryReachesTheProgram)
 {
-    // DD composition via the provider seam: every gate comes from the
-    // substituted library, no process-global cache involved.
+    // DD composition via an injected library: every gate comes from
+    // the substituted library, no process-global cache involved.
     auto dev = device23();
     pulse::PulseLibrary dd = substituteIdentity(
         pulse::PulseLibrary::gaussian(), dcgIdentity());
@@ -155,8 +153,8 @@ TEST(CompilerTest, FixedPulseProviderInjectsLibrary)
     Compiler compiler =
         CompilerBuilder(dev)
             .schedPolicy(SchedPolicy::Zzx)
-            .pulseProvider(
-                std::make_shared<FixedPulseProvider>(std::move(dd)))
+            .pulseLibrary(
+                std::make_shared<const pulse::PulseLibrary>(std::move(dd)))
             .build();
     CompileResult result = compiler.compile(c);
     ASSERT_TRUE(result.ok());
@@ -240,76 +238,24 @@ TEST(CompilerTest, EveryPolicyMatchesItsEntryPoint)
     }
 }
 
-TEST(CompilerTest, ForeignExceptionsLandOnStatusChannel)
+TEST(CompilerTest, BuildRefusesAMissingLibrary)
 {
-    /** A pulse source throwing a non-qzz exception: must surface as a
-     *  failed status, not escape (which would terminate compileBatch
-     *  workers). */
-    class ThrowingProvider final : public PulseProvider
-    {
-      public:
-        std::shared_ptr<const pulse::PulseLibrary>
-        library(PulseMethod method) override
-        {
-            (void)method;
-            throw std::runtime_error("external failure");
-        }
-    };
-
+    // A Compiler without a usable library is never built, so no
+    // compile can fail for the want of one.
     auto dev = device23();
-    Compiler compiler =
-        CompilerBuilder(dev)
-            .pulseProvider(std::make_shared<ThrowingProvider>())
-            .build();
-    CompileResult direct = compiler.compile(testCircuit());
-    EXPECT_FALSE(direct.ok());
-    EXPECT_EQ(direct.status.code, CompileStatusCode::Internal);
-    // The schedule stage is the first to need the library (for the
-    // gate durations).
-    EXPECT_EQ(direct.status.pass, "schedule");
-    EXPECT_EQ(direct.status.message, "external failure");
+    EXPECT_THROW(CompilerBuilder(dev).pulseLibrary(nullptr).build(),
+                 UserError);
 
-    // And through the batch thread pool.
-    BatchOptions opt;
-    opt.num_threads = 2;
-    BatchResult batch = compiler.compileBatch(
-        {testCircuit(), testCircuit(8)}, opt);
-    ASSERT_EQ(batch.results.size(), 2u);
-    EXPECT_FALSE(batch.allOk());
-    for (const CompileResult &r : batch.results) {
-        EXPECT_EQ(r.status.code, CompileStatusCode::Internal);
-        EXPECT_EQ(r.status.pass, "schedule");
-        EXPECT_EQ(r.status.message, "external failure");
-    }
-}
-
-TEST(CompilerTest, ProviderWithoutLibraryStopsThePipeline)
-{
-    class EmptyProvider final : public PulseProvider
-    {
-      public:
-        std::shared_ptr<const pulse::PulseLibrary>
-        library(PulseMethod method) override
-        {
-            (void)method;
-            return nullptr;
-        }
-    };
-
-    auto dev = device23();
-    Compiler compiler =
-        CompilerBuilder(dev)
-            .pulseProvider(std::make_shared<EmptyProvider>())
-            .build();
-    CompileResult result = compiler.compile(testCircuit());
-    EXPECT_EQ(result.status.code, CompileStatusCode::InvalidInput);
-    EXPECT_EQ(result.status.pass, "pulses");
-    EXPECT_EQ(result.status.message, "pulse provider returned no library");
-    // The schedule stage asked for the library and stopped the
-    // pipeline there: no pulses stage ran.
-    ASSERT_EQ(result.diagnostics.stages.size(), 3u);
-    EXPECT_EQ(result.diagnostics.stages.back().stage, "schedule");
-    EXPECT_EQ(result.diagnostics.stages.back().layers_added, 0);
+    // Gate durations come from the SX and Identity programs.
+    pulse::PulseLibrary no_sx("no-sx");
+    no_sx.set(pulse::PulseGate::Identity,
+              pulse::PulseLibrary::gaussian().get(
+                  pulse::PulseGate::Identity));
+    EXPECT_THROW(CompilerBuilder(dev)
+                     .pulseLibrary(std::make_shared<const pulse::PulseLibrary>(
+                         std::move(no_sx)))
+                     .build(),
+                 UserError);
 }
 
 TEST(CompilerTest, ProgramOwnsLibraryAcrossCacheClear)

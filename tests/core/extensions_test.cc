@@ -193,7 +193,7 @@ TEST(DdSubstitutionTest, WorksWithoutTwoQubitProgram)
 
 TEST(DdSubstitutionTest, SubstitutedLibraryCompilesViaProvider)
 {
-    // End to end through the injection seam: DD identities lengthen
+    // End to end through an injected library: DD identities lengthen
     // the supplemented idle slots of a ZZXSched schedule.
     auto dev = device23();
     ckt::QuantumCircuit c(6);
@@ -204,7 +204,7 @@ TEST(DdSubstitutionTest, SubstitutedLibraryCompilesViaProvider)
     Compiler compiler =
         CompilerBuilder(dev)
             .options(opt)
-            .pulseProvider(std::make_shared<FixedPulseProvider>(
+            .pulseLibrary(std::make_shared<const pulse::PulseLibrary>(
                 substituteIdentity(pulse::PulseLibrary::gaussian(),
                                    dcgIdentity())))
             .build();

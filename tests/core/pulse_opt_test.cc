@@ -126,12 +126,13 @@ TEST(PulseOptTest, MethodNames)
 TEST(PulseOptTest, GaussianAndDcgLibrariesBuildWithoutOptimization)
 {
     clearPulseLibraryCache();
-    const auto &gau = getPulseLibrary(PulseMethod::Gaussian);
-    EXPECT_EQ(gau.name(), "Gaussian");
-    const auto &dcg = getPulseLibrary(PulseMethod::DCG);
-    EXPECT_EQ(dcg.name(), "DCG");
+    const auto gau = getPulseLibraryShared(PulseMethod::Gaussian);
+    EXPECT_EQ(gau->name(), "Gaussian");
+    const auto dcg = getPulseLibraryShared(PulseMethod::DCG);
+    EXPECT_EQ(dcg->name(), "DCG");
     // Memoized: same object back.
-    EXPECT_EQ(&getPulseLibrary(PulseMethod::Gaussian), &gau);
+    EXPECT_EQ(getPulseLibraryShared(PulseMethod::Gaussian).get(),
+              gau.get());
 }
 
 TEST(PulseOptTest, OnlyOptimizableMethodsAccepted)

@@ -245,7 +245,7 @@ TEST_F(TelemetryE2eTest, TraceIdSpanTreeAndScrapeAgree)
 
     // (b) The trace log holds the complete span tree for that id:
     // request -> {queue_wait, cache_probe, compile -> {route, lower,
-    // schedule, pulses}, artifact_write, respond}.  The session has
+    // schedule}, artifact_write, respond}.  The session has
     // fully drained (EOF above), so every span is flushed.
     std::map<std::string, SpanRecord> by_name;
     for (const SpanRecord &span : readSpans(trace_path)) {
@@ -264,11 +264,11 @@ TEST_F(TelemetryE2eTest, TraceIdSpanTreeAndScrapeAgree)
     ASSERT_TRUE(by_name.count("compile"));
     const SpanRecord &compile = by_name["compile"];
     EXPECT_EQ(compile.parent_id, root.span_id);
-    for (const char *pass : {"route", "lower", "schedule", "pulses"}) {
+    for (const char *pass : {"route", "lower", "schedule"}) {
         ASSERT_TRUE(by_name.count(pass)) << pass;
         EXPECT_EQ(by_name[pass].parent_id, compile.span_id) << pass;
     }
-    EXPECT_EQ(by_name.size(), 10u); // nothing unexpected in the tree
+    EXPECT_EQ(by_name.size(), 9u); // nothing unexpected in the tree
 
     // (c) GET /metrics sees the same single request in its counters.
     const std::string scrape =
